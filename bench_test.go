@@ -53,12 +53,6 @@ func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 // benchSimulate measures raw simulation throughput for one policy:
 // simulated page touches per second of wall time.
 func benchSimulate(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKind) {
-	benchSimulateEngine(b, pol, tables, cmcp.SerialEngine)
-}
-
-// benchSimulateEngine is benchSimulate with an explicit engine, the
-// shared body of the serial/parallel benchmark pairs below.
-func benchSimulateEngine(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKind, eng cmcp.EngineKind) {
 	b.Helper()
 	cfg := cmcp.Config{
 		Cores:       56,
@@ -67,7 +61,6 @@ func benchSimulateEngine(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKin
 		Tables:      tables,
 		Policy:      pol,
 		Seed:        1,
-		Engine:      eng,
 	}
 	b.ResetTimer()
 	var touches uint64
@@ -102,19 +95,6 @@ func BenchmarkSimulateCMCP(b *testing.B) {
 // shootdowns (regular shared page tables).
 func BenchmarkSimulateRegularPT(b *testing.B) {
 	benchSimulate(b, cmcp.PolicySpec{Kind: cmcp.FIFO}, cmcp.RegularPT)
-}
-
-// BenchmarkSimulateFIFOParallel is BenchmarkSimulateFIFO on the
-// epoch-parallel engine: compare the pair to read the speedup (the
-// Results are bit-identical; only wall time may differ).
-func BenchmarkSimulateFIFOParallel(b *testing.B) {
-	benchSimulateEngine(b, cmcp.PolicySpec{Kind: cmcp.FIFO}, cmcp.PSPT, cmcp.ParallelEngine)
-}
-
-// BenchmarkSimulateCMCPParallel is BenchmarkSimulateCMCP on the
-// epoch-parallel engine.
-func BenchmarkSimulateCMCPParallel(b *testing.B) {
-	benchSimulateEngine(b, cmcp.PolicySpec{Kind: cmcp.CMCP, P: 0.875}, cmcp.PSPT, cmcp.ParallelEngine)
 }
 
 // benchTraceCfg is the shared configuration of the tracing-overhead

@@ -65,8 +65,6 @@ type (
 	PolicyKind = machine.PolicyKind
 	// TableKind selects the page-table organization.
 	TableKind = vm.TableKind
-	// EngineKind selects the simulation engine (Config.Engine).
-	EngineKind = machine.EngineKind
 	// PageSize is a mapping granularity (4 kB, 64 kB or 2 MB).
 	PageSize = sim.PageSize
 	// Cycles is simulated time in 1.053 GHz CPU cycles.
@@ -113,21 +111,6 @@ const (
 	// Random evicts uniformly at random (sanity baseline).
 	Random = machine.Random
 )
-
-// Simulation engines. Both produce bit-identical Results for every
-// Config; the parallel engine trades single-thread simplicity for
-// speculative multi-core execution (see DESIGN.md §13).
-const (
-	// SerialEngine is the reference event loop (the default).
-	SerialEngine = machine.SerialEngine
-	// ParallelEngine is the epoch-parallel engine: speculative per-core
-	// probe phases with journaled rollback, committed by a serial sweep.
-	ParallelEngine = machine.ParallelEngine
-)
-
-// ParseEngine parses an engine name ("serial", "parallel"; "" means
-// serial) as accepted by cmcpsim -engine.
-func ParseEngine(s string) (EngineKind, error) { return machine.ParseEngine(s) }
 
 // Page-table organizations.
 const (
@@ -679,8 +662,9 @@ func TraceTimeline(events []TraceEvent, buckets int) string { return obs.Timelin
 
 // Invariant auditing: attach an Auditor through Config.Audit to
 // cross-check the engine's five bookkeeping views (policy residency,
-// page tables, device frames, TLBs, adaptive-size counters) against
-// each other every few thousand events; any violation fails the run.
+// page tables, device frames, TLBs with the per-core same-page memo,
+// adaptive-size counters) against each other every few thousand
+// events; any violation fails the run.
 type (
 	// Auditor is the cross-module invariant auditor. One Auditor serves
 	// one run at a time; do not share across RunMany.

@@ -41,24 +41,19 @@
 //
 //	cmcpsim -run -policy CMCP -trace -trace-out run.json -sample-every 100000
 //
-// Emit machine-readable benchmark results:
-//
-//	cmcpsim -bench -json -bench-out BENCH_cmcp.json
+// Host-throughput benchmarks live in cmcpbench (bash cmcpbench/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"cmcp"
 	"cmcp/internal/plot"
-	"cmcp/internal/stats"
 )
 
 // traceOptions bundles the observability flags of -run mode.
@@ -101,7 +96,6 @@ func startTelemetry(sopt serveOptions, progress *cmcp.SweepProgress) (*cmcp.Tele
 func main() {
 	var (
 		exp      = flag.String("exp", "", "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or an extension: numa|tenants")
-		engine   = flag.String("engine", "serial", "simulation engine: serial|parallel (bit-identical results; parallel is faster)")
 		quick    = flag.Bool("quick", false, "shrink sweeps (fewer core counts and ratio points)")
 		scale    = flag.Float64("scale", 1.0, "workload footprint/work multiplier")
 		seed     = flag.Uint64("seed", 42, "random seed")
@@ -153,18 +147,9 @@ func main() {
 		traceFlag   = flag.Bool("trace", false, "record a flight-recorder event trace of the -run simulation")
 		traceOut    = flag.String("trace-out", "trace.json", "trace output path: .json = Chrome trace_event (Perfetto), .jsonl = JSON Lines")
 		sampleEvery = flag.Uint64("sample-every", 0, "time-series sampling interval in cycles (0 = off); CSV lands next to -trace-out")
-
-		bench     = flag.Bool("bench", false, "run the policy throughput benchmark suite")
-		benchJSON = flag.Bool("json", true, "with -bench: write machine-readable results")
-		benchOut  = flag.String("bench-out", "BENCH_cmcp.json", "with -bench -json: results file")
-		benchN    = flag.Int("bench-n", 3, "with -bench: iterations per configuration")
 	)
 	flag.Parse()
 
-	eng, err := cmcp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	var faults *cmcp.FaultConfig
 	if *faultRate > 0 {
 		faults = cmcp.UniformFaults(*faultSeed, *faultRate)
@@ -193,21 +178,9 @@ func main() {
 		if err := w.Run(); err != nil {
 			fatal(err)
 		}
-	case *bench:
-		if faults != nil {
-			// Benchmarks measure the fault-free hot path; injecting
-			// would silently skew every number.
-			fatal(fmt.Errorf("-fault-rate is not supported with -bench (benchmarks measure the fault-free hot path)"))
-		}
-		if sopt.addr != "" {
-			fatal(fmt.Errorf("-serve is not supported with -bench (serve a -run or -exp instead)"))
-		}
-		if err := runBench(*benchN, *benchJSON, *benchOut, *seed); err != nil {
-			fatal(err)
-		}
 	case *run:
 		topt := traceOptions{enabled: *traceFlag, out: *traceOut, sampleEvery: *sampleEvery}
-		if err := runOne(*wlName, *cores, *ratio, *polName, *p, *dynamicP, *tables, *pageSize, *scale, *seed, eng, faults, topt, *histFlag, sopt, *tenants, *zipfS, *churn, *sockets); err != nil {
+		if err := runOne(*wlName, *cores, *ratio, *polName, *p, *dynamicP, *tables, *pageSize, *scale, *seed, faults, topt, *histFlag, sopt, *tenants, *zipfS, *churn, *sockets); err != nil {
 			fatal(err)
 		}
 	case *exp != "":
@@ -226,7 +199,6 @@ func main() {
 			Imports:      splitList(*journalImport),
 			Shard:        shardIdx,
 			Shards:       shardCount,
-			Engine:       eng,
 			Hist:         *histFlag,
 			ScheduleFrom: *scheduleFrom,
 		}
@@ -424,7 +396,7 @@ func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progre
 	return nil
 }
 
-func runOne(wlName string, cores int, ratio float64, polName string, p float64, dynamicP bool, tables, pageSize string, scale float64, seed uint64, eng cmcp.EngineKind, faults *cmcp.FaultConfig, topt traceOptions, hist bool, sopt serveOptions, tenants int, zipfS float64, churn int, sockets int) error {
+func runOne(wlName string, cores int, ratio float64, polName string, p float64, dynamicP bool, tables, pageSize string, scale float64, seed uint64, faults *cmcp.FaultConfig, topt traceOptions, hist bool, sopt serveOptions, tenants int, zipfS float64, churn int, sockets int) error {
 	srv, stopSrv, err := startTelemetry(sopt, nil)
 	if err != nil {
 		return err
@@ -484,7 +456,6 @@ func runOne(wlName string, cores int, ratio float64, polName string, p float64, 
 		Tables:           tk,
 		Policy:           cmcp.PolicySpec{Kind: kind, P: p, DynamicP: dynamicP},
 		Seed:             seed,
-		Engine:           eng,
 		Probe:            rec,
 		Faults:           faults,
 		Hist:             hist,
@@ -613,133 +584,6 @@ func writeTrace(rec *cmcp.Recorder, topt traceOptions, cores int) error {
 		}
 		fmt.Printf("samples       %d points -> %s\n", len(rec.Samples()), csvOut)
 	}
-	return nil
-}
-
-// benchResult is one configuration's measurement in the -bench output.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Engine      string  `json:"engine"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	TouchesPerS float64 `json:"touches_per_sec"`
-	// SpeedupVsSerial is parallel-row throughput relative to the same
-	// policy's serial row from this same process (0 on serial rows).
-	SpeedupVsSerial float64           `json:"speedup_vs_serial,omitempty"`
-	RuntimeCyc      uint64            `json:"simulated_runtime_cycles"`
-	Counters        map[string]uint64 `json:"counters"`
-	// Hists carries per-histogram latency summaries (cmcp-bench/v2),
-	// keyed by cmcp.HistNames. They come from a separate hist-enabled
-	// run of the same config — counters are bit-identical either way —
-	// so the timed iterations above keep measuring the bare hot path.
-	Hists map[string]cmcp.HistogramSummary `json:"hists"`
-}
-
-// benchFile is the schema of BENCH_cmcp.json.
-type benchFile struct {
-	Schema    string `json:"schema"`
-	UnixTime  int64  `json:"unix_time"`
-	GoVersion string `json:"go_version,omitempty"`
-	// GoMaxProcs records the measuring host's parallelism: the parallel
-	// engine's speedup is worker-bound, so rows from a 1-P host (where
-	// all probing is inline) are not comparable to multi-core rows.
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Runs       []benchResult `json:"runs"`
-}
-
-// runBench measures raw Simulate throughput for each built-in policy
-// on the SCALE workload (the mirror of bench_test.go's benchSimulate)
-// and optionally writes BENCH_cmcp.json, seeding the perf trajectory
-// with ns/op plus the counter totals that explain them. Every policy is
-// measured on both engines back to back — serial then parallel — so
-// each parallel row carries a speedup against a serial row from the
-// same process on the same host.
-func runBench(iters int, emitJSON bool, out string, seed uint64) error {
-	if iters < 1 {
-		iters = 1
-	}
-	kinds := []cmcp.PolicyKind{cmcp.FIFO, cmcp.LRU, cmcp.CMCP, cmcp.CLOCK, cmcp.LFU, cmcp.Random}
-	engines := []cmcp.EngineKind{cmcp.SerialEngine, cmcp.ParallelEngine}
-	file := benchFile{Schema: "cmcp-bench/v2", UnixTime: time.Now().Unix(),
-		GoVersion: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, kind := range kinds {
-		cfg := cmcp.Config{
-			Cores:       56,
-			Workload:    cmcp.SCALE().Scale(0.1),
-			MemoryRatio: 0.5,
-			Tables:      cmcp.PSPT,
-			Policy:      cmcp.PolicySpec{Kind: kind, P: -1},
-			Seed:        seed,
-		}
-		// One hist-enabled reference run per policy: counters and hists
-		// are bit-identical across engines, so both rows share it and the
-		// timed iterations keep measuring the bare hot path.
-		histCfg := cfg
-		histCfg.Hist = true
-		hres, err := cmcp.Simulate(histCfg)
-		if err != nil {
-			return err
-		}
-		hists := make(map[string]cmcp.HistogramSummary, len(cmcp.HistNames()))
-		for i, name := range cmcp.HistNames() {
-			hists[name] = hres.Run.Hists.Get(cmcp.HistID(i)).Summarize()
-		}
-		// Interleave the engines' timed iterations so transient host load
-		// hits both sides alike — the speedup field compares engines, not
-		// the machine's mood across two measurement blocks.
-		elapsed := make(map[cmcp.EngineKind]time.Duration, len(engines))
-		touches := make(map[cmcp.EngineKind]uint64, len(engines))
-		var last *cmcp.Result
-		for i := 0; i < iters; i++ {
-			for _, eng := range engines {
-				ecfg := cfg
-				ecfg.Engine = eng
-				start := time.Now()
-				res, err := cmcp.Simulate(ecfg)
-				if err != nil {
-					return err
-				}
-				elapsed[eng] += time.Since(start)
-				touches[eng] += res.Run.Total(cmcp.Touches)
-				last = res
-			}
-		}
-		counters := make(map[string]uint64, stats.NumCounters)
-		for c, name := range stats.CounterNames() {
-			counters[name] = last.Run.Total(stats.Counter(c))
-		}
-		var serialNs int64
-		for _, eng := range engines {
-			r := benchResult{
-				Name:        "Simulate/" + kind.String() + "/" + eng.String(),
-				Engine:      eng.String(),
-				Iterations:  iters,
-				NsPerOp:     elapsed[eng].Nanoseconds() / int64(iters),
-				TouchesPerS: float64(touches[eng]) / elapsed[eng].Seconds(),
-				RuntimeCyc:  uint64(last.Runtime),
-				Counters:    counters,
-				Hists:       hists,
-			}
-			if eng == cmcp.SerialEngine {
-				serialNs = r.NsPerOp
-			} else if r.NsPerOp > 0 {
-				r.SpeedupVsSerial = float64(serialNs) / float64(r.NsPerOp)
-			}
-			file.Runs = append(file.Runs, r)
-			fmt.Printf("%-26s %12d ns/op %14.0f touches/s\n", r.Name, r.NsPerOp, r.TouchesPerS)
-		}
-	}
-	if !emitJSON {
-		return nil
-	}
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 

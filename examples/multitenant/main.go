@@ -7,9 +7,8 @@
 // fairness index over those tails, so the comparison answers the
 // serving-fleet question: who keeps the slowest tenant fast?
 //
-// The same Config runs bit-identically on both engines; this demo uses
-// the parallel one for speed and a weighted (non-partitioned) pool so
-// the policies, not quotas, decide who loses frames.
+// The demo uses a weighted (non-partitioned) pool so the policies, not
+// quotas, decide who loses frames.
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 			Tables:      cmcp.PSPT,
 			Policy:      pol,
 			Seed:        7,
-			Engine:      cmcp.ParallelEngine,
 		})
 	}
 	results, err := cmcp.RunMany(cfgs, 0)

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"cmcp/internal/mem"
+	"cmcp/internal/pagetable"
 	"cmcp/internal/pspt"
 	"cmcp/internal/sim"
 	"cmcp/internal/vm"
@@ -88,22 +89,6 @@ func (a *Auditor) Note(m *vm.Manager) {
 	a.events++
 	if a.events >= a.every {
 		a.events = 0
-		a.Audit(m)
-	}
-}
-
-// NoteN counts n engine events at once — the parallel engine retires
-// provably independent touches in batches — and audits m when the
-// period elapses. At most one audit runs per call: the batch commits
-// atomically between operations, so no intermediate state exists for
-// extra audit points to observe. Audits stay read-only here; the
-// parallel engine falls back to serial for the one configuration where
-// audit timing can alter simulated state (MapSkew injection under
-// PSPT, whose repairs run from the audit itself).
-func (a *Auditor) NoteN(m *vm.Manager, n int) {
-	a.events += n
-	if a.events >= a.every {
-		a.events %= a.every
 		a.Audit(m)
 	}
 }
@@ -200,7 +185,11 @@ func (a *Auditor) auditResidency(m *vm.Manager) {
 // auditTLBs checks that every cached translation still corresponds to a
 // live translation of the same size in the owning core's table view —
 // i.e. no shootdown was missed — and that each TLB's internal FIFO-set
-// bookkeeping is consistent.
+// bookkeeping is consistent. It also checks each core's same-page memo
+// (vm.Manager.HotPage): a valid memo must name a page whose translation
+// sits in that core's L1, and whose PTE in that core's view carries
+// Accessed, plus Dirty when the memo says so — the facts that let a memo
+// hit skip the TLB lookup and the MMU bit update.
 func (a *Auditor) auditTLBs(m *vm.Manager) {
 	for c := 0; c < m.Cores(); c++ {
 		core := sim.CoreID(c)
@@ -208,7 +197,12 @@ func (a *Auditor) auditTLBs(m *vm.Manager) {
 		if err := t.CheckInvariants(); err != nil {
 			a.report("tlb", "core %d: %v", c, err)
 		}
+		hot, hotDirty, hotOK := m.HotPage(core)
+		hotInL1 := false
 		t.ForEachEntry(func(base sim.PageID, size sim.PageSize, level int) {
+			if hotOK && level == 1 && base == size.Align(hot) {
+				hotInL1 = true
+			}
 			_, sz, ok := m.Lookup(core, base)
 			if !ok {
 				a.report("tlb", "core %d caches %v translation for page %d (L%d) with no live mapping",
@@ -220,6 +214,21 @@ func (a *Auditor) auditTLBs(m *vm.Manager) {
 					c, size, base, level, sz)
 			}
 		})
+		if !hotOK {
+			continue
+		}
+		if !hotInL1 {
+			a.report("tlb", "core %d memoizes page %d but its L1 holds no translation for it", c, hot)
+		}
+		pte, _, ok := m.Lookup(core, hot)
+		switch {
+		case !ok:
+			a.report("tlb", "core %d memoizes page %d, which its table view does not map", c, hot)
+		case !pte.Has(pagetable.Accessed):
+			a.report("tlb", "core %d memoizes page %d but its PTE lacks Accessed", c, hot)
+		case hotDirty && !pte.Has(pagetable.Dirty):
+			a.report("tlb", "core %d memoizes page %d as dirty but its PTE lacks Dirty", c, hot)
+		}
 	}
 }
 

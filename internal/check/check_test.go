@@ -12,9 +12,9 @@ import (
 
 // These tests prove the auditor actually catches bookkeeping bugs by
 // deliberately injecting them into an otherwise healthy VM subsystem:
-// a shootdown that never reached a TLB, a policy that miscounts its
-// population, and an adaptive residency counter that skipped a
-// decrement. A clean manager must audit clean.
+// a shootdown that never reached a TLB, a same-page memo that outlived
+// its translation, a policy that miscounts its population, and an
+// adaptive residency counter that skipped a decrement. A clean manager must audit clean.
 
 func fifoFactory(policy.Host) policy.Policy { return policy.NewFIFO() }
 
@@ -74,6 +74,49 @@ func TestAuditorCatchesStaleTLBEntry(t *testing.T) {
 	aud := check.New(check.Config{})
 	aud.Audit(m)
 	assertViolation(t, aud, "tlb")
+}
+
+// TestAuditorCatchesCorruptMemo corrupts the state a core's same-page
+// memo relies on without going through the manager — dropping the L1
+// entry behind the memo's back, or clearing the PTE's Accessed bit with
+// no shootdown — and requires the memo check to report each.
+func TestAuditorCatchesCorruptMemo(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *vm.Manager)
+	}{
+		{"tlb-entry-dropped", func(m *vm.Manager) { m.TLBFor(0).Invalidate(300) }},
+		{"accessed-cleared", func(m *vm.Manager) {
+			p, _ := m.PSPT()
+			p.ScanAccessed(300, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newManager(t, vm.Config{
+				Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 512,
+			}, nil)
+			touch(t, m, 2, 20)
+			for i := 0; i < 2; i++ { // fault, then hit: the memo holds page 300
+				if _, err := m.Access(0, 300, false, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if vpn, _, ok := m.HotPage(0); !ok || vpn != 300 {
+				t.Fatalf("setup: memo = %d/%v", vpn, ok)
+			}
+			aud := check.New(check.Config{})
+			aud.Audit(m)
+			if err := aud.Err(); err != nil {
+				t.Fatalf("clean memo failed audit: %v", err)
+			}
+			tc.corrupt(m)
+			aud.Audit(m)
+			assertViolation(t, aud, "tlb")
+			if !strings.Contains(aud.Err().Error(), "memoizes page 300") {
+				t.Errorf("violation does not name the memo: %v", aud.Err())
+			}
+		})
+	}
 }
 
 // miscountingPolicy reports one more resident mapping than it tracks —

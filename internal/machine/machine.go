@@ -167,14 +167,6 @@ type Config struct {
 	// plain data — each run builds its own Injector — so one Config is
 	// safe to reuse across concurrent RunMany runs.
 	Faults *fault.Config
-	// Engine selects the event-loop implementation: the serial reference
-	// engine (zero value) or the epoch-parallel engine, which produces
-	// bit-identical Results — counters, histograms, traces, audit state —
-	// at a multiple of the serial throughput (see DESIGN.md §13). A few
-	// configurations are inherently serial (time-series sampling, and
-	// MapSkew injection with an auditor under PSPT); those fall back to
-	// the serial engine silently, identity preserved by construction.
-	Engine EngineKind
 	// Topology, when non-nil and multi-socket, models the machine as
 	// sockets × cores-per-socket NUMA domains: per-socket IPI rings
 	// joined by a priced interconnect, per-domain page-walk costs,
@@ -503,14 +495,13 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	}
 
 	run := mgr.Run()
-	engine := newPhaseRunner(mgr, cfg)
-	defer engine.close()
+	events := &eventQueue{ev: make([]eventKey, 0, cfg.Cores+2)}
 	var t0 sim.Cycles
 	if !cfg.NoWarmup {
 		// Warm-up: every core touches its population once, bringing the
 		// resident set and TLBs to steady state, then all cores
 		// synchronize at a barrier and the counters are rebased.
-		t0, err = engine.run(warmupFn(), 0)
+		t0, err = runPhase(mgr, cfg, events, warmupFn(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +518,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		if run.Tenants != nil {
 			run.Tenants.ResetHists()
 		}
-		if _, err = engine.run(streamsFn(cfg.Seed), t0); err != nil {
+		if _, err = runPhase(mgr, cfg, events, streamsFn(cfg.Seed), t0); err != nil {
 			return nil, err
 		}
 		if err := run.Subtract(warm); err != nil {
@@ -541,7 +532,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 			}
 		}
 	} else {
-		if _, err = engine.run(streamsFn(cfg.Seed), 0); err != nil {
+		if _, err = runPhase(mgr, cfg, events, streamsFn(cfg.Seed), 0); err != nil {
 			return nil, err
 		}
 	}

@@ -43,10 +43,11 @@ func runJSON(t *testing.T, r *stats.Run) []byte {
 	return b
 }
 
-// TestTenantEnginesBitIdentical is the tentpole's core promise: a
-// multi-tenant run — weighted or hard-partitioned, with churn and a
-// diurnal phase — produces bit-identical results on the serial and
-// epoch-parallel engines, per-tenant record included.
+// TestTenantEnginesBitIdentical pins determinism for multi-tenant
+// machines: a run — weighted or hard-partitioned, with churn and a
+// diurnal phase — produces bit-identical results whether Simulate runs
+// it directly or RunMany runs it on a pooled scratch arena, per-tenant
+// record included.
 func TestTenantEnginesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -65,16 +66,8 @@ func TestTenantEnginesBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tenantConfig(24)
 			tc.mod(&cfg)
-			cfg.Engine = SerialEngine
-			serial, err := Simulate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Engine = ParallelEngine
-			parallel, err := Simulate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := simulateOn(t, "serial", cfg)
+			parallel := simulateOn(t, "parallel", cfg)
 			if serial.Runtime != parallel.Runtime {
 				t.Errorf("runtime: serial %d, parallel %d", serial.Runtime, parallel.Runtime)
 			}
@@ -82,7 +75,7 @@ func TestTenantEnginesBitIdentical(t *testing.T) {
 				t.Fatal("tenant run produced no per-tenant record")
 			}
 			if a, b := runJSON(t, serial.Run), runJSON(t, parallel.Run); !bytes.Equal(a, b) {
-				t.Error("per-tenant records differ between engines")
+				t.Error("per-tenant records differ between drivers")
 			}
 		})
 	}
@@ -91,7 +84,7 @@ func TestTenantEnginesBitIdentical(t *testing.T) {
 // TestTenant10kZipfAcceptance is the scale acceptance run: 10,000
 // tenant address spaces under Zipfian selection complete
 // deterministically, report a per-tenant p99 fault-service latency and
-// a fairness metric, and are bit-identical across engines and repeats.
+// a fairness metric, and are bit-identical across repeats.
 func TestTenant10kZipfAcceptance(t *testing.T) {
 	spec := workload.DefaultTenantSpec(10_000, 1.1, 0)
 	spec.TotalTouches = 200_000
@@ -102,7 +95,6 @@ func TestTenant10kZipfAcceptance(t *testing.T) {
 		Tables:      vm.PSPTKind,
 		Policy:      PolicySpec{Kind: FIFO, P: -1},
 		Seed:        3,
-		Engine:      SerialEngine,
 	}
 	serial, err := Simulate(cfg)
 	if err != nil {
@@ -141,35 +133,19 @@ func TestTenant10kZipfAcceptance(t *testing.T) {
 	if !bytes.Equal(runJSON(t, serial.Run), runJSON(t, again.Run)) {
 		t.Error("repeat run differs")
 	}
-	// And so is the parallel engine.
-	cfg.Engine = ParallelEngine
-	parallel, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Runtime != parallel.Runtime {
-		t.Errorf("runtime: serial %d, parallel %d", serial.Runtime, parallel.Runtime)
-	}
-	if !bytes.Equal(runJSON(t, serial.Run), runJSON(t, parallel.Run)) {
-		t.Error("10k-tenant records differ between engines")
-	}
 }
 
-// TestZeroTenantGoldenIdentity pins the other half of the tentpole's
-// promise: with Config.Tenants nil, both engines still reproduce the
-// golden table bit-identically and attach no per-tenant record — the
-// multi-tenant machinery is invisible to single-tenant runs.
+// TestZeroTenantGoldenIdentity pins the other half of the tenant
+// layer's promise: with Config.Tenants nil, runs on both drivers still
+// reproduce the golden table bit-identically and attach no per-tenant
+// record — the multi-tenant machinery is invisible to single-tenant
+// runs.
 func TestZeroTenantGoldenIdentity(t *testing.T) {
 	vs := goldenVariants()
 	for _, name := range []string{"FIFO", "CMCP"} {
-		for _, eng := range []EngineKind{SerialEngine, ParallelEngine} {
-			t.Run(name+"/"+eng.String(), func(t *testing.T) {
-				cfg := vs[name]
-				cfg.Engine = eng
-				res, err := Simulate(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, driver := range drivers {
+			t.Run(name+"/"+driver, func(t *testing.T) {
+				res := simulateOn(t, driver, vs[name])
 				if res.Run.Tenants != nil {
 					t.Error("single-tenant run grew a per-tenant record")
 				}

@@ -12,7 +12,7 @@ import (
 
 // TestSingleSocketGoldenIdentity pins the NUMA layer's bit-identity
 // contract: a nil topology and an explicit single-socket topology both
-// reproduce the golden table exactly, on both engines, with every NUMA
+// reproduce the golden table exactly, on both drivers, with every NUMA
 // counter zero — the multi-socket machinery is invisible to flat runs.
 // (Mirrors TestZeroTenantGoldenIdentity for the tenant layer.)
 func TestSingleSocketGoldenIdentity(t *testing.T) {
@@ -23,15 +23,11 @@ func TestSingleSocketGoldenIdentity(t *testing.T) {
 			if topo != nil {
 				label = name + "/1x8"
 			}
-			for _, eng := range []EngineKind{SerialEngine, ParallelEngine} {
-				t.Run(label+"/"+eng.String(), func(t *testing.T) {
+			for _, driver := range drivers {
+				t.Run(label+"/"+driver, func(t *testing.T) {
 					cfg := vs[name]
 					cfg.Topology = topo
-					cfg.Engine = eng
-					res, err := Simulate(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					res := simulateOn(t, driver, cfg)
 					want := goldenRuns[name]
 					if res.Runtime != want.Runtime {
 						t.Errorf("runtime = %d, want %d", res.Runtime, want.Runtime)
@@ -55,11 +51,11 @@ func TestSingleSocketGoldenIdentity(t *testing.T) {
 	}
 }
 
-// TestTopologyEnginesBitIdentical extends the engine-equivalence
+// TestTopologyEnginesBitIdentical extends the driver-equivalence
 // promise to multi-socket machines: a 2-socket run — PSPT with
 // replica migration and regular tables with remote walks — must be
-// bit-identical between the serial and epoch-parallel engines, whole
-// Run record included.
+// bit-identical whether Simulate runs it directly or RunMany runs it on
+// a pooled scratch arena, whole Run record included.
 func TestTopologyEnginesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -70,21 +66,13 @@ func TestTopologyEnginesBitIdentical(t *testing.T) {
 			cfg.Policy = PolicySpec{Kind: CMCP, P: -1}
 			cfg.Tables = tc.tables
 			cfg.Topology = sim.DefaultTopology(2, 4)
-			cfg.Engine = SerialEngine
-			serial, err := Simulate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Engine = ParallelEngine
-			parallel, err := Simulate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := simulateOn(t, "serial", cfg)
+			parallel := simulateOn(t, "parallel", cfg)
 			if serial.Runtime != parallel.Runtime {
 				t.Errorf("runtime: serial %d, parallel %d", serial.Runtime, parallel.Runtime)
 			}
 			if a, b := runJSON(t, serial.Run), runJSON(t, parallel.Run); !bytes.Equal(a, b) {
-				t.Error("2-socket records differ between engines")
+				t.Error("2-socket records differ between drivers")
 			}
 		})
 	}

@@ -112,31 +112,6 @@ func (t *Table) Lookup(vpn sim.PageID) (PTE, sim.PageSize, bool) {
 	return lookupIn(t.walk(vpn, false), vpn)
 }
 
-// LookupRO resolves vpn exactly like Lookup but never writes the PMD
-// memo (walk refreshes it even on read-only descents, which is a data
-// race under concurrency). Any number of goroutines may call LookupRO
-// on a table nothing is mutating.
-func (t *Table) LookupRO(vpn sim.PageID) (PTE, sim.PageSize, bool) {
-	return lookupIn(t.walkRO(vpn), vpn)
-}
-
-// walkRO is walk(vpn, false) without the memo refresh: it may read the
-// memo but never writes it.
-func (t *Table) walkRO(vpn sim.PageID) *node {
-	if key := vpn>>(2*radixBits) + 1; t.pmdKey == key {
-		return t.pmd
-	}
-	n := &t.root
-	for level := numLevels - 1; level > 1; level-- {
-		next := n.children[levelIndex(vpn, level)]
-		if next == nil {
-			return nil
-		}
-		n = next
-	}
-	return n
-}
-
 func lookupIn(pmd *node, vpn sim.PageID) (PTE, sim.PageSize, bool) {
 	if pmd == nil {
 		return 0, sim.Size4k, false

@@ -64,7 +64,6 @@ type fifoSet struct {
 	state []uint8 // base -> size+1; 0 = absent
 	queue []int32 // FIFO order of bases, with stale slots
 	head  int
-	j     *Journal // nil outside the parallel engine
 }
 
 func newFifoSet(capacity, pages int, sc *dense.Scratch) fifoSet {
@@ -114,10 +113,6 @@ func (s *fifoSet) insert(base sim.PageID, e entry) (sim.PageID, entry, bool) {
 	if _, ok := s.has(base); ok {
 		return 0, entry{}, false // refresh: FIFO ignores re-reference
 	}
-	logging := s.j != nil && s.j.enabled
-	if logging {
-		s.j.logMeta(s)
-	}
 	var evictedBase sim.PageID
 	var evicted entry
 	var hasEvicted bool
@@ -126,38 +121,20 @@ func (s *fifoSet) insert(base sim.PageID, e entry) (sim.PageID, entry, bool) {
 		vb := sim.PageID(s.queue[s.head])
 		s.head++
 		if v := s.state[vb]; v != 0 {
-			if logging {
-				s.j.logState(s, vb)
-			}
 			s.state[vb] = 0
 			s.n--
 			evictedBase, evicted, hasEvicted = vb, entry{size: sim.PageSize(v - 1)}, true
 		}
 	}
-	if logging {
-		s.j.logState(s, base)
-	}
 	s.setState(base, uint8(e.size)+1)
 	s.n++
 	s.queue = append(s.queue, int32(base))
-	// Compaction runs at exactly the trigger points the serial engine
-	// hits — its timing is semantically visible, because rewriting the
-	// queue dedupes the stale slots that give a re-inserted page its
-	// effective FIFO position. Under speculation the pre-compaction
-	// queue is snapshotted for undo first.
-	if s.j != nil && (s.j.enabled || s.j.Unreleased() > 0) && s.wouldCompact() {
-		s.j.logQueue(s)
-	}
 	s.compact()
 	return evictedBase, evicted, hasEvicted
 }
 
 func (s *fifoSet) invalidate(base sim.PageID) bool {
 	if base < sim.PageID(len(s.state)) && s.state[base] != 0 {
-		if s.j != nil && s.j.enabled {
-			s.j.logMeta(s)
-			s.j.logState(s, base)
-		}
 		s.state[base] = 0
 		s.n--
 		return true
@@ -174,11 +151,6 @@ func (s *fifoSet) flush() {
 	s.queue = s.queue[:0]
 	s.head = 0
 	s.n = 0
-}
-
-// wouldCompact mirrors compact's trigger conditions (for undo logging).
-func (s *fifoSet) wouldCompact() bool {
-	return len(s.queue) > 4*s.cap+64 || (s.head > 64 && s.head*2 > len(s.queue))
 }
 
 // compact reclaims queue space when stale slots dominate.
@@ -322,33 +294,14 @@ func (t *TLB) Lookup(vpn sim.PageID) HitLevel {
 	return Miss
 }
 
-// LookupInfo is Lookup also returning the hit entry's base and size
-// class (valid only when level != Miss). The parallel engine's probe
-// uses it to stamp speculative touches with the translation entry they
-// rely on, so a later invalidation of that entry can be detected.
-func (t *TLB) LookupInfo(vpn sim.PageID) (base sim.PageID, size sim.PageSize, level HitLevel) {
-	for _, s := range sizes {
-		b := s.Align(vpn)
-		if _, ok := t.l1[s].has(b); ok {
-			return b, s, HitL1
-		}
-	}
-	for _, s := range sizes {
-		b := s.Align(vpn)
-		if e, ok := t.l2.has(b); ok && e.size == s {
-			t.l2.invalidate(b)
-			t.installL1(b, e)
-			return b, s, HitL2
-		}
-	}
-	return 0, 0, Miss
-}
-
 // Insert caches the translation for the mapping of the given size
-// covering vpn, as the hardware does after a successful page walk.
-func (t *TLB) Insert(vpn sim.PageID, size sim.PageSize) {
+// covering vpn, as the hardware does after a successful page walk. It
+// reports whether the translation is now in L1: a geometry with no L1
+// entries for the size class caches nothing.
+func (t *TLB) Insert(vpn sim.PageID, size sim.PageSize) bool {
 	base := size.Align(vpn)
 	t.installL1(base, entry{size: size})
+	return t.l1[size].cap > 0
 }
 
 func (t *TLB) installL1(base sim.PageID, e entry) {
@@ -374,41 +327,6 @@ func (t *TLB) Invalidate(vpn sim.PageID) bool {
 		}
 	}
 	return hit
-}
-
-// InvalDisturbs reports whether Invalidate(vpn) would interact with TLB
-// state that the attached journal's speculative window observed or
-// produced: an entry covering vpn is present right now, or an unreleased
-// journal op recorded a state change for one of vpn's aligned bases.
-// When it returns false the invalidation is independent of the window —
-// it finds nothing to drop today, dropped nothing the window relied on,
-// and frees no capacity the window's inserts contended for — so the
-// parallel engine can keep the speculation. When it returns true the
-// engine must roll the window back, because replaying it after the
-// invalidation could classify touches differently.
-func (t *TLB) InvalDisturbs(vpn sim.PageID) bool {
-	for _, s := range sizes {
-		base := s.Align(vpn)
-		if _, ok := t.l1[s].has(base); ok {
-			return true
-		}
-		if e, ok := t.l2.has(base); ok && e.size == s {
-			return true
-		}
-	}
-	if j := t.l2.j; j != nil {
-		return j.Touched(sim.Size4k.Align(vpn), sim.Size64k.Align(vpn), sim.Size2M.Align(vpn))
-	}
-	return false
-}
-
-// SetJournal attaches j to all four sets so that speculative mutations
-// are logged while j is enabled. Pass nil to detach.
-func (t *TLB) SetJournal(j *Journal) {
-	for _, s := range sizes {
-		t.l1[s].j = j
-	}
-	t.l2.j = j
 }
 
 // Flush empties the TLB (full flush, e.g. on context switch).

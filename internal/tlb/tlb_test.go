@@ -16,7 +16,9 @@ func TestLookupMissInsertHit(t *testing.T) {
 	if tb.Lookup(5) != Miss {
 		t.Error("cold TLB must miss")
 	}
-	tb.Insert(5, sim.Size4k)
+	if !tb.Insert(5, sim.Size4k) {
+		t.Error("Insert did not report the entry cached")
+	}
 	if tb.Lookup(5) != HitL1 {
 		t.Error("inserted entry must hit L1")
 	}
@@ -143,7 +145,9 @@ func TestFlush(t *testing.T) {
 
 func TestZeroCapacityClass(t *testing.T) {
 	tb := New(Config{L1Entries4k: 0, L1Entries64k: 0, L1Entries2M: 0, L2Entries: 0})
-	tb.Insert(1, sim.Size4k) // must not panic
+	if tb.Insert(1, sim.Size4k) { // must not panic
+		t.Error("Insert into a zero-capacity class reported the entry cached")
+	}
 	if tb.Lookup(1) != Miss {
 		t.Error("zero-capacity TLB always misses")
 	}

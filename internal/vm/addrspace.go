@@ -43,11 +43,6 @@ type addressSpace interface {
 	// Lookup resolves vpn as seen by core.
 	Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool)
 
-	// LookupRO is Lookup without any memo refresh: probe workers may
-	// call it concurrently (at most one per core) while nothing mutates
-	// the tables.
-	LookupRO(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool)
-
 	// ResolveSibling implements the PSPT minor-fault path: if the page
 	// is resident via another core, replicate its PTE into core's table
 	// and return the mapping's base. Regular page tables have no such
@@ -131,10 +126,6 @@ func newSharedAS(cores, pages int, sc *dense.Scratch) *sharedAS {
 
 func (s *sharedAS) Lookup(_ sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
 	return s.table.Lookup(vpn)
-}
-
-func (s *sharedAS) LookupRO(_ sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	return s.table.LookupRO(vpn)
 }
 
 func (s *sharedAS) ResolveSibling(sim.CoreID, sim.PageID, pagetable.PTE) (sim.PageID, bool) {
@@ -276,12 +267,6 @@ func newPSPTAS(cores, pages int, sc *dense.Scratch) *psptAS {
 }
 
 func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	return a.p.Lookup(core, vpn)
-}
-
-func (a *psptAS) LookupRO(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	// Per-core tables: the (single) prober for core owns the table's
-	// memo, so the plain lookup is already race-free.
 	return a.p.Lookup(core, vpn)
 }
 

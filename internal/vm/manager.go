@@ -102,6 +102,7 @@ type Manager struct {
 	cost sim.CostModel
 	as   addressSpace
 	tlbs []tlb.TLB
+	hot  []hotPage // per-core same-page translation memo
 	dev  *mem.Device
 	host *mem.Host
 	pol  policy.Policy
@@ -119,7 +120,6 @@ type Manager struct {
 	writeSeq uint64
 	verify   map[sim.PageID]mem.Signature
 	faultObs FaultObserver
-	invalObs func(core sim.CoreID, base sim.PageID) // fires before each TLB invalidation
 	adapter  *sizeAdapter
 	rec      *obs.Recorder   // nil = tracing disabled
 	inj      *fault.Injector // nil = fault injection disabled
@@ -183,6 +183,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	for i := range m.tlbs {
 		m.tlbs[i] = tlb.NewSized(cfg.TLB, cfg.Pages, sc)
 	}
+	m.hot = make([]hotPage, cfg.Cores)
 	if cfg.Verify {
 		m.verify = make(map[sim.PageID]mem.Signature)
 	}
@@ -252,6 +253,24 @@ func (m *Manager) walkExtra(core sim.CoreID) sim.Cycles {
 // TLBFor exposes core's TLB for read-only inspection (the invariant
 // auditor cross-checks cached translations against the page tables).
 func (m *Manager) TLBFor(core sim.CoreID) *tlb.TLB { return &m.tlbs[core] }
+
+// HotPage reports core's same-page translation memo (see hotPage): the
+// page its last non-faulting access touched and whether that core's
+// PTE is known to carry Dirty. ok is false when the memo is invalid.
+// The invariant auditor checks it against the TLB and the page tables.
+func (m *Manager) HotPage(core sim.CoreID) (vpn sim.PageID, dirty, ok bool) {
+	h := m.hot[core]
+	return h.vpn, h.dirty, h.valid
+}
+
+// invalidateTLB drops core's cached translation covering base (one
+// INVLPG) and clears core's same-page memo. Every TLB invalidation —
+// eviction shootdowns, scan clears, PSPT rebuilds — goes through here,
+// which is what keeps the memo exact.
+func (m *Manager) invalidateTLB(core sim.CoreID, base sim.PageID) {
+	m.tlbs[core].Invalidate(base)
+	m.hot[core].valid = false
+}
 
 // Lookup resolves vpn through core's page-table view. Bookkeeping only:
 // no cost is charged and no simulated state changes.
@@ -350,10 +369,7 @@ func (m *Manager) maybeRebuildPSPT(now sim.Cycles) {
 	a.PSPT().Rebuild(func(base sim.PageID, targets []sim.CoreID) {
 		m.scanCost += m.cost.ScanPTE
 		for _, tc := range targets {
-			if m.invalObs != nil {
-				m.invalObs(tc, base)
-			}
-			m.tlbs[tc].Invalidate(base)
+			m.invalidateTLB(tc, base)
 			perCore[tc]++
 			m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
 		}
@@ -418,10 +434,7 @@ func (m *Manager) ScanAccessed(base sim.PageID) bool {
 	}
 	remote := 0
 	for _, tc := range targets {
-		if m.invalObs != nil {
-			m.invalObs(tc, base)
-		}
-		m.tlbs[tc].Invalidate(base)
+		m.invalidateTLB(tc, base)
 		m.debt[tc] += m.cost.IPIInterrupt
 		m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
 		remote++
@@ -456,10 +469,49 @@ func (m *Manager) lookupAny(vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) 
 	return m.as.Lookup(0, vpn)
 }
 
+// hotPage is one core's same-page translation memo: the page its last
+// non-faulting access touched, and whether that core's PTE for it is
+// known to carry Dirty. Consecutive touches of one page by one core
+// dominate every workload, and the memo serves them without the TLB
+// lookup or the page-table walk that sets the MMU bits.
+//
+// The memo is exact, not speculative. On a hit, the full path would do
+// only this:
+//
+//   - tlb.Lookup returns HitL1 and mutates nothing (an L1 hit only
+//     reads fifoSet.has). The memo is set at the end of a non-faulting
+//     access — L1 hit, L2 promotion, or a successful walk plus an
+//     Insert that reports the entry in L1 (a geometry with no L1
+//     entries for the size class caches nothing) — so an L1 entry
+//     covering vpn exists then. An L2 entry is only ever an L1 victim,
+//     so its promotion has L1 room by construction. Nothing but the owning
+//     core's own Access inserts into a core's TLB, and that Access
+//     either hits the memo (no insert) or replaces it, so the entry
+//     cannot be displaced from L1 behind the memo's back. The only
+//     other way out of L1 is an invalidation, and every one goes
+//     through invalidateTLB, which clears the memo.
+//   - as.Touch sets Accessed, and Dirty on a write. Accessed is already
+//     set since the memo'd access, because the only thing that clears
+//     it — ScanAccessed — invalidates the TLB entry of every core whose
+//     bit it cleared. Dirty is never cleared on a mapped PTE, so once
+//     dirty is true a write needs no Touch; the first write while
+//     !dirty still calls Touch, which sets Dirty.
+//   - a write resolves its frame through frameOf and stamps the device
+//     with the next write sequence number. The memo caches no frame,
+//     so this step runs on every write, and a remap needs no argument.
+//
+// A faulting access leaves the memo invalid.
+type hotPage struct {
+	vpn   sim.PageID
+	valid bool
+	dirty bool
+}
+
 // Access executes one page touch by core at virtual time now and
 // returns the core's finishing time. This is the hardware+kernel
 // access path: TLB lookup, page walk on miss, fault handling when the
-// translation is absent, then the touch's amortized compute.
+// translation is absent, then the touch's amortized compute. A repeat
+// touch of the page core touched last is served by its hotPage memo.
 //
 // A non-nil error means the simulated kernel's bookkeeping diverged
 // (ErrNoVictim, ErrBadVictim, ErrMapFailed, ErrCorruption); the run is
@@ -469,7 +521,20 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 	if m.mt != nil {
 		m.mt.ts.Add(m.mt.tenantOf(vpn), stats.TenantTouches, 1)
 	}
+	h := &m.hot[core]
+	if h.valid && h.vpn == vpn {
+		if write {
+			if !h.dirty {
+				m.as.Touch(core, vpn, true)
+				h.dirty = true
+			}
+			m.writeData(core, vpn)
+		}
+		return now + m.cost.TouchCompute, nil
+	}
+	h.valid = false
 	t := now
+	inL1 := true
 	switch m.tlbs[core].Lookup(vpn) {
 	case tlb.HitL1:
 		// Translation cached: no kernel involvement.
@@ -486,16 +551,19 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 			m.run.Add(core, stats.RemoteWalks, 1)
 		}
 		if _, size, ok := m.as.Lookup(core, vpn); ok {
-			m.tlbs[core].Insert(vpn, size)
+			inL1 = m.tlbs[core].Insert(vpn, size)
 		} else {
 			var err error
 			t, err = m.fault(core, vpn, t)
 			if err != nil {
 				return t, err
 			}
+			m.touchBookkeeping(core, vpn, write)
+			return t + m.cost.TouchCompute, nil // a fault leaves the memo invalid
 		}
 	}
 	m.touchBookkeeping(core, vpn, write)
+	*h = hotPage{vpn: vpn, valid: inL1, dirty: write}
 	return t + m.cost.TouchCompute, nil
 }
 
@@ -503,9 +571,14 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 // write for one touch (zero cost: included in TouchCompute).
 func (m *Manager) touchBookkeeping(core sim.CoreID, vpn sim.PageID, write bool) {
 	m.as.Touch(core, vpn, write)
-	if !write {
-		return
+	if write {
+		m.writeData(core, vpn)
 	}
+}
+
+// writeData stamps the device frame backing vpn in core's view with the
+// next write sequence number (the simulated store).
+func (m *Manager) writeData(core sim.CoreID, vpn sim.PageID) {
 	if f, ok := m.frameOf(core, vpn); ok {
 		m.writeSeq++
 		m.dev.Write(f, core, m.writeSeq)
@@ -923,15 +996,11 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		initSocket = m.topo.SocketOf(core)
 	}
 	for _, tc := range targets {
-		if m.invalObs != nil {
-			m.invalObs(tc, base)
-		}
+		m.invalidateTLB(tc, base)
 		if tc == core {
-			m.tlbs[core].Invalidate(base)
 			work += m.cost.InvlpgLocal
 			continue
 		}
-		m.tlbs[tc].Invalidate(base)
 		m.debt[tc] += m.cost.IPIInterrupt
 		m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
 		// Delivery rides the bidirectional ring: distant targets cost

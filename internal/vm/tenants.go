@@ -14,9 +14,7 @@ import (
 // address spaces of PagesPerTenant pages each share the one device
 // frame pool. Tenant t owns the global pages
 // [t·PagesPerTenant, (t+1)·PagesPerTenant), so the page→tenant map is
-// pure arithmetic and the engines need no notion of tenancy at all —
-// which is also why multi-tenant runs are bit-identical across the
-// serial and epoch-parallel engines by construction.
+// pure arithmetic and the event loop needs no notion of tenancy at all.
 type TenantConfig struct {
 	// Count is the number of tenants.
 	Count int
@@ -244,7 +242,7 @@ func (s *tenantState) victimTenant() int {
 // deterministic tie-break (lower tenant ID wins), so victim-tenant
 // selection is O(log tenants) per eviction — the difference between a
 // 10,000-tenant run finishing in seconds and in minutes — and identical
-// across runs and engines.
+// across runs.
 type tenantHeap struct {
 	score []float64
 	order []int32 // heap array of tenant IDs
