@@ -39,7 +39,6 @@ import (
 	"cmcp/internal/core"
 	"cmcp/internal/experiments"
 	"cmcp/internal/fault"
-	"cmcp/internal/hist"
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
@@ -77,10 +76,6 @@ type (
 	CostModel = sim.CostModel
 	// TLBConfig is the per-core TLB geometry.
 	TLBConfig = tlb.Config
-	// Run is the per-core counter record of a simulation.
-	Run = stats.Run
-	// Counter identifies one per-core event counter in a Run.
-	Counter = stats.Counter
 	// Workload is the parametric description of an application.
 	Workload = workload.Spec
 	// ShareBand declares a page-sharing band of a Workload.
@@ -161,8 +156,6 @@ const (
 	RecoveryRetries = stats.RecoveryRetries
 	// TxRollbacks counts page-in transactions rolled back.
 	TxRollbacks = stats.TxRollbacks
-	// QuarantinedFrames counts device frames permanently retired.
-	QuarantinedFrames = stats.QuarantinedFrames
 	// ResentShootdowns counts invalidation IPIs re-sent after ack loss.
 	ResentShootdowns = stats.ResentShootdowns
 	// DegradedPages counts pages dropped to regular-table semantics.
@@ -255,24 +248,14 @@ func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name)
 // Per-tenant counters and fault-service histograms land in
 // Result.Run.Tenants; a nil Config.Tenants run is bit-identical to a
 // pre-tenant build.
-type (
-	// TenantSpec describes a multi-tenant machine (Config.Tenants).
-	TenantSpec = workload.TenantSpec
-	// TenantSet is the per-tenant counter and fault-latency record of a
-	// multi-tenant run (Run.Tenants; nil on single-tenant runs).
-	TenantSet = stats.TenantSet
-	// TenantCounter identifies one per-tenant event counter.
-	TenantCounter = stats.TenantCounter
-)
+type TenantSpec = workload.TenantSpec
 
-// Per-tenant counters (indexes into a TenantSet).
+// Per-tenant counters (indexes into Run.Tenants).
 const (
 	// TenantTouches counts page touches issued by the tenant.
 	TenantTouches = stats.TenantTouches
 	// TenantFaults counts the tenant's major page faults.
 	TenantFaults = stats.TenantFaults
-	// TenantMinorFaults counts the tenant's PSPT sibling-PTE copies.
-	TenantMinorFaults = stats.TenantMinorFaults
 	// TenantEvictions counts frames evicted FROM the tenant.
 	TenantEvictions = stats.TenantEvictions
 	// TenantEvictionsCaused counts evictions the tenant's faults forced
@@ -287,10 +270,6 @@ const (
 func DefaultTenantSpec(tenants int, zipfS float64, churnEvery int) TenantSpec {
 	return workload.DefaultTenantSpec(tenants, zipfS, churnEvery)
 }
-
-// TenantCounterNames returns the per-tenant counter names in
-// TenantCounter order (the same table the JSON forms use).
-func TenantCounterNames() []string { return stats.TenantCounterNames() }
 
 // NewCMCPPolicy builds a standalone CMCP policy instance for library
 // embedding (outside the simulator): host supplies core-map counts,
@@ -362,26 +341,19 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 	return experiments.ByID(id, o)
 }
 
-// RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(o ExperimentOptions) ([]*ExperimentReport, error) {
-	return experiments.All(o)
-}
-
 // Constraint returns the per-workload memory ratio used by the Fig. 7 /
 // Table 1 experiments (the paper's 50-60 %-of-native methodology).
 func Constraint(workloadName string) float64 { return experiments.Constraint(workloadName) }
 
 // Sweep infrastructure: experiment grids run through a checkpointed,
 // resumable, shardable runner (internal/sweep). ExperimentOptions
-// exposes its knobs (Journal, Imports, Shard/Shards, Progress); the
+// exposes its knobs (Backend, Imports, Shard/Shards, Progress); the
 // types below let callers observe a sweep and inspect its journals.
 type (
 	// SweepProgress is a thread-safe sweep progress meter; attach one
 	// via ExperimentOptions.Progress and poll Snapshot or String from
 	// any goroutine.
 	SweepProgress = obs.Progress
-	// SweepProgressSnapshot is one consistent progress reading.
-	SweepProgressSnapshot = obs.ProgressSnapshot
 	// SweepEntry is one completed run recorded in a sweep journal.
 	SweepEntry = sweep.Entry
 )
@@ -419,13 +391,6 @@ func CompactSweepJournal(path, out string) (SweepCompactStats, error) {
 	return sweep.CompactJournal(path, out)
 }
 
-// SweepRuntimesByKey reads the simulated runtime of every run recorded
-// in the journal at path, keyed by content key — the input to
-// longest-first scheduling. A missing journal yields an empty map.
-func SweepRuntimesByKey(path string) (map[string]Cycles, error) {
-	return sweep.RuntimesByKey(path)
-}
-
 // Distributed sweeps: a Coordinator owns a sweep grid and leases runs
 // over HTTP to SweepWorker processes, with heartbeats, capped-backoff
 // retries, work stealing, and poisoned-key quarantine (internal/coord).
@@ -434,23 +399,15 @@ func SweepRuntimesByKey(path string) (map[string]Cycles, error) {
 // local sweep. Wire one in as ExperimentOptions.Runner, or use
 // cmcpsim -coordinate / -worker.
 type (
-	// SweepBackend is the pluggable journal store (JSONL file,
-	// in-memory, or fsynced directory tree); see SweepOptions-style
-	// use via sweep.Options.Backend in internal docs.
+	// SweepBackend is the journal store a sweep loads from and appends
+	// to; set one as ExperimentOptions.Backend.
 	SweepBackend = sweep.Backend
 	// SweepCompactStats reports what CompactSweepJournal kept/dropped.
 	SweepCompactStats = sweep.CompactStats
-	// SweepRunner executes a planned batch of sweep runs; the
-	// Coordinator implements it.
-	SweepRunner = sweep.Runner
 	// Coordinator is the crash-tolerant sweep coordinator.
 	Coordinator = coord.Coordinator
 	// CoordinatorOptions tune lease TTL, retry budget and backoff.
 	CoordinatorOptions = coord.Options
-	// CoordinatorStats snapshots the lease table and lifetime counters.
-	CoordinatorStats = coord.Stats
-	// PoisonedKey is one quarantined config in the coordinator report.
-	PoisonedKey = coord.PoisonedKey
 	// SweepWorker is the coordinator's client: lease, heartbeat, run,
 	// post result, repeat.
 	SweepWorker = coord.Worker
@@ -458,21 +415,14 @@ type (
 
 // NewCoordinator builds an idle coordinator; Start(addr) serves the
 // lease protocol, and passing it as ExperimentOptions.Runner (it
-// implements SweepRunner) dispatches experiment grids to workers.
+// implements the sweep runner interface) dispatches experiment grids
+// to workers.
 func NewCoordinator(opt CoordinatorOptions) *Coordinator { return coord.New(opt) }
 
-// NewFileSweepBackend opens an append-mode JSONL journal backend (the
-// same format Journal paths use).
+// NewFileSweepBackend returns an append-mode JSONL journal backend:
+// the file cmcpsim -journal writes, created on first append. Close it
+// once the last sweep using it has finished.
 func NewFileSweepBackend(path string) SweepBackend { return sweep.NewFileBackend(path) }
-
-// NewMemSweepBackend returns an in-memory journal backend for tests
-// and ephemeral sweeps.
-func NewMemSweepBackend() SweepBackend { return sweep.NewMemBackend() }
-
-// NewDirSweepBackend returns a directory-tree journal backend: one
-// file per content key, written atomically (temp + fsync + rename), so
-// a torn write can never corrupt a previously durable entry.
-func NewDirSweepBackend(dir string) SweepBackend { return sweep.NewDirBackend(dir) }
 
 // Latency histograms: set Config.Hist and the run records log₂
 // distributions of page-fault service time, eviction+write-back
@@ -482,37 +432,16 @@ func NewDirSweepBackend(dir string) SweepBackend { return sweep.NewDirBackend(di
 // them Hist is plain data: it sweeps, journals and Repeats-merges
 // (replicate histograms pool rather than average, keeping the merge
 // exact).
-type (
-	// Histogram is one fixed-bucket log₂ histogram (exact integer
-	// bucket bounds, mergeable, deterministic).
-	Histogram = hist.H
-	// HistogramSummary is a histogram's compact rendering:
-	// count/mean/max and the p50/p90/p99/p999 quantile upper bounds.
-	HistogramSummary = hist.Summary
-	// HistID identifies one per-run histogram in a HistSet.
-	HistID = stats.HistID
-	// HistSet is the fixed array of a run's histograms; Run.Hists is
-	// nil unless Config.Hist was set.
-	HistSet = stats.HistSet
-)
+// HistID identifies one per-run histogram in Run.Hists.
+type HistID = stats.HistID
 
-// Per-run histograms (indexes into a HistSet).
+// Per-run histograms (indexes into Run.Hists).
 const (
 	// FaultServiceHist is end-to-end page-fault service time in cycles,
 	// including lock waits, eviction work and fault-injection retries.
 	FaultServiceHist = stats.FaultServiceHist
-	// EvictionHist is victim eviction + write-back latency in cycles.
-	EvictionHist = stats.EvictionHist
-	// ShootdownHist is the per-target shootdown ack round-trip in
-	// cycles, re-sends included.
-	ShootdownHist = stats.ShootdownHist
 	// LockWaitHist is non-zero lock/DMA-bus wait duration in cycles.
 	LockWaitHist = stats.LockWaitHist
-	// FanoutHist is the remote-core fan-out of shootdown broadcasts.
-	FanoutHist = stats.FanoutHist
-	// CrossSocketFanoutHist is the remote-socket fan-out of shootdown
-	// broadcasts on multi-socket runs (empty on flat runs).
-	CrossSocketFanoutHist = stats.CrossSocketFanoutHist
 )
 
 // HistNames returns the histogram names in HistID order (the same
@@ -525,17 +454,7 @@ func HistNames() []string { return stats.HistNames() }
 // into an atomically swapped immutable snapshot, so HTTP readers never
 // touch (or perturb) live simulation state. cmcpsim wires one behind
 // -serve; library users feed it from ExperimentOptions.OnResult.
-type (
-	// TelemetryServer is the live /metrics, /progress and pprof server.
-	TelemetryServer = telemetry.Server
-	// TelemetrySnapshot is one immutable published aggregate.
-	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryCoordStats mirrors CoordinatorStats for the telemetry
-	// server's cmcp_coord_* metric families; attach a live source via
-	// TelemetryServer.SetCoordSource (cmcpsim does this under
-	// -coordinate -serve).
-	TelemetryCoordStats = telemetry.CoordStats
-)
+type TelemetryServer = telemetry.Server
 
 // NewTelemetryServer builds a telemetry server; progress (may be nil)
 // backs /progress. Call Start(addr) to listen and Publish per run.
@@ -560,90 +479,28 @@ type (
 	RecorderConfig = obs.Config
 	// TraceEvent is one flight-recorder entry.
 	TraceEvent = obs.Event
-	// TraceEventType identifies a kind of TraceEvent.
-	TraceEventType = obs.EventType
 	// TraceSample is one periodic time-series point.
 	TraceSample = obs.Sample
 )
 
 // Flight-recorder event types (see the obs package for semantics).
 const (
-	// EvFault is a major page fault (page-in from the host).
-	EvFault = obs.EvFault
-	// EvMinorFault is a PSPT sibling-PTE copy fault.
-	EvMinorFault = obs.EvMinorFault
 	// EvEviction is a victim unmap; Arg is the remote shootdown count.
 	EvEviction = obs.EvEviction
-	// EvWriteBack is a dirty eviction's copy-out; Arg is bytes.
-	EvWriteBack = obs.EvWriteBack
 	// EvShootdown is a remote TLB invalidation; Arg is target cores.
 	EvShootdown = obs.EvShootdown
-	// EvScanTick is one scanner-lane policy tick; Arg is its cost.
-	EvScanTick = obs.EvScanTick
 	// EvPromotion is CMCP admitting a page to the priority group.
 	EvPromotion = obs.EvPromotion
-	// EvDemotion is CMCP draining a page back to the FIFO list.
-	EvDemotion = obs.EvDemotion
-	// EvLockWait is a non-zero wait on a lock or the DMA bus.
-	EvLockWait = obs.EvLockWait
-	// EvRollback is a page-in transaction rolled back by an injected
-	// transfer failure or corruption; Arg is the attempt number.
-	EvRollback = obs.EvRollback
-	// EvQuarantine is a corrupt frame being retired; Arg is the frame.
-	EvQuarantine = obs.EvQuarantine
-	// EvResend is a shootdown IPI re-sent after a dropped ack; Arg is
-	// the re-send count for that target.
-	EvResend = obs.EvResend
-	// EvLockStuck is an injected stuck page lock; Arg is the stall.
-	EvLockStuck = obs.EvLockStuck
-	// EvPSPTSkew is injected PSPT bookkeeping skew; Arg is the core
-	// whose phantom bit was planted.
-	EvPSPTSkew = obs.EvPSPTSkew
-	// EvDegraded is a page dropped to regular-table semantics after
-	// skew repair.
-	EvDegraded = obs.EvDegraded
-	// EvPTMigration is a PSPT page-table page migrating to the socket
-	// that keeps consulting it; Arg is the new home socket.
-	EvPTMigration = obs.EvPTMigration
-	// EvReplicaSync is an eviction synchronizing remote-socket PSPT
-	// replicas; Arg is the remote socket count.
-	EvReplicaSync = obs.EvReplicaSync
 )
 
 // NewRecorder builds a flight recorder to attach via Config.Probe.
 func NewRecorder(cfg RecorderConfig) *Recorder { return obs.NewRecorder(cfg) }
 
-// TraceMeta is the optional metadata header line of a JSONL event
-// trace; its Dropped count is how replay tools detect that the
-// recorder's bounded ring overflowed and the trace is incomplete.
-type TraceMeta = obs.TraceMeta
-
-// WriteTraceJSONL exports recorded events as JSON Lines.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return obs.WriteJSONL(w, events) }
-
 // WriteTraceJSONLWithMeta exports recorded events as JSON Lines behind
-// a TraceMeta header carrying the recorder's drop count. Older readers
-// skip the header line; ReadTraceJSONLMeta returns it.
+// a metadata header line carrying the recorder's drop count, which
+// cmcptrace -replay reads back to warn that the trace is incomplete.
 func WriteTraceJSONLWithMeta(w io.Writer, events []TraceEvent, dropped uint64) error {
 	return obs.WriteJSONLWithMeta(w, events, dropped)
-}
-
-// ReadTraceJSONLMeta loads a JSONL event trace leniently (like
-// ReadTraceJSONLLenient) and additionally returns its metadata header,
-// or nil for traces written without one.
-func ReadTraceJSONLMeta(r io.Reader) ([]TraceEvent, *TraceMeta, int, error) {
-	return obs.ReadJSONLMeta(r)
-}
-
-// ReadTraceJSONL loads a JSONL event trace written by WriteTraceJSONL.
-// The first malformed line fails the read; see ReadTraceJSONLLenient.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReadJSONL(r) }
-
-// ReadTraceJSONLLenient loads a JSONL event trace, skipping malformed,
-// truncated or unknown-type lines and reporting how many were dropped —
-// for traces from interrupted runs or concatenated logs.
-func ReadTraceJSONLLenient(r io.Reader) ([]TraceEvent, int, error) {
-	return obs.ReadJSONLLenient(r)
 }
 
 // WriteChromeTrace exports events and samples as Chrome trace_event
@@ -657,9 +514,6 @@ func WriteSamplesCSV(w io.Writer, samples []TraceSample) error {
 	return obs.WriteSamplesCSV(w, samples)
 }
 
-// TraceTimeline renders events as a bucketed text timeline.
-func TraceTimeline(events []TraceEvent, buckets int) string { return obs.Timeline(events, buckets) }
-
 // Invariant auditing: attach an Auditor through Config.Audit to
 // cross-check the engine's five bookkeeping views (policy residency,
 // page tables, device frames, TLBs with the per-core same-page memo,
@@ -671,8 +525,6 @@ type (
 	Auditor = check.Auditor
 	// AuditorConfig sets the audit period and the violation cap.
 	AuditorConfig = check.Config
-	// AuditViolation is one detected invariant breach.
-	AuditViolation = check.Violation
 )
 
 // NewAuditor builds an invariant auditor to attach via Config.Audit.
@@ -709,30 +561,12 @@ var (
 // the same Config replay identically, recovery counters included, and
 // a nil (or all-zero-rate) FaultConfig is bit-identical to a fault-free
 // run.
-type (
-	// FaultConfig seeds and rates the deterministic fault injector.
-	FaultConfig = fault.Config
-	// FaultKind identifies one injectable fault class.
-	FaultKind = fault.Kind
-)
+type FaultConfig = fault.Config
 
-// Injectable fault kinds (indexes into FaultConfig.Rates).
-const (
-	// FaultPageIn is a transient host-to-device transfer failure.
-	FaultPageIn = fault.PageIn
-	// FaultPageOut is a transient device-to-host write-back failure.
-	FaultPageOut = fault.PageOut
-	// FaultCorrupt is frame corruption during page-in; the frame is
-	// quarantined and device capacity shrinks.
-	FaultCorrupt = fault.Corrupt
-	// FaultDropAck is a lost TLB-shootdown acknowledgement.
-	FaultDropAck = fault.DropAck
-	// FaultStuckLock is a page lock that wedges until timed out.
-	FaultStuckLock = fault.StuckLock
-	// FaultMapSkew is PSPT core-set bookkeeping skew (repaired by the
-	// auditor through degraded mode).
-	FaultMapSkew = fault.MapSkew
-)
+// FaultPageIn is the first injectable fault kind (a transient
+// host-to-device transfer failure) and so the first index into
+// FaultConfig.Rates.
+const FaultPageIn = fault.PageIn
 
 // UniformFaults returns a FaultConfig injecting every fault kind at the
 // same per-event rate under the given seed.

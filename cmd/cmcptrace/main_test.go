@@ -40,7 +40,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmcp.WriteTraceJSONL(f, events); err != nil {
+	if err := cmcp.WriteTraceJSONLWithMeta(f, events, rec.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -34,8 +34,12 @@ func main() {
 
 	// Reference: the ordinary in-process sweep, journaled.
 	opt := cmcp.ExperimentOptions{Quick: true, Scale: 0.02, Seed: 42}
-	opt.Journal = refJournal
+	refBackend := cmcp.NewFileSweepBackend(refJournal)
+	opt.Backend = refBackend
 	if _, err := cmcp.RunExperiment("fig9", opt); err != nil {
+		log.Fatal(err)
+	}
+	if err := refBackend.Close(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -59,10 +63,14 @@ func main() {
 		}(i)
 	}
 
-	opt.Journal = coordJournal
+	coordBackend := cmcp.NewFileSweepBackend(coordJournal)
+	opt.Backend = coordBackend
 	opt.Runner = coordinator
 	report, err := cmcp.RunExperiment("fig9", opt)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := coordBackend.Close(); err != nil {
 		log.Fatal(err)
 	}
 	coordinator.Finish() // lets idle workers exit with "sweep done"

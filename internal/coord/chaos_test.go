@@ -78,7 +78,7 @@ func TestWorkerKill9MidLease(t *testing.T) {
 	refJ := dir + "/ref.jsonl"
 	chaosJ := dir + "/chaos.jsonl"
 
-	ref, err := sweep.Run(cfgs, sweep.Options{Parallelism: 1, Journal: refJ})
+	ref, err := runFile(cfgs, refJ, sweep.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWorkerKill9MidLease(t *testing.T) {
 
 	outCh := make(chan batchOut, 1)
 	go func() {
-		out, err := sweep.Run(cfgs, sweep.Options{Journal: chaosJ, Runner: c})
+		out, err := runFile(cfgs, chaosJ, sweep.Options{Runner: c})
 		if out == nil {
 			outCh <- batchOut{nil, err}
 			return
@@ -184,7 +184,7 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 	refJ := dir + "/ref.jsonl"
 	chaosJ := dir + "/chaos.jsonl"
 
-	ref, err := sweep.Run(cfgs, sweep.Options{Parallelism: 1, Journal: refJ})
+	ref, err := runFile(cfgs, refJ, sweep.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 
 	out1Ch := make(chan error, 1)
 	go func() {
-		_, err := sweep.Run(cfgs, sweep.Options{Journal: chaosJ, Runner: c1})
+		_, err := runFile(cfgs, chaosJ, sweep.Options{Runner: c1})
 		out1Ch <- err
 	}()
 
@@ -244,7 +244,7 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 	}
 	defer c2.Close()
 
-	out2, err := sweep.Run(cfgs, sweep.Options{Journal: chaosJ, Runner: c2})
+	out2, err := runFile(cfgs, chaosJ, sweep.Options{Runner: c2})
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}

@@ -93,19 +93,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a point-in-time snapshot of the coordinator's state: the
-// gauges describe the current batch, the counters accumulate across
-// the coordinator's whole life. The telemetry server exports these as
-// the cmcp_coord_* metric families.
-type Stats struct {
-	// Gauges over the current batch.
-	KeysPending, KeysLeased int
-	// Cumulative across batches.
-	KeysDone, KeysPoisoned                     uint64
-	LeasesGranted, LeasesExpired, LeasesStolen uint64
-	Heartbeats, Retries, DuplicateResults      uint64
-}
-
 // PoisonedKey records one quarantined config for the report.
 type PoisonedKey struct {
 	Key      string `json:"key"`
@@ -171,7 +158,7 @@ type Coordinator struct {
 	orphans map[string]sweep.Entry // results for keys not (yet) enqueued
 	// poisoned accumulates the quarantine report across batches.
 	poisoned []PoisonedKey
-	stats    Stats
+	stats    obs.CoordStats
 	leaseSeq uint64
 	finished bool
 
@@ -275,8 +262,8 @@ func (c *Coordinator) Abort(err error) {
 }
 
 // Stats returns a snapshot of the lease-table gauges and lifetime
-// counters.
-func (c *Coordinator) Stats() Stats {
+// counters (see obs.CoordStats).
+func (c *Coordinator) Stats() obs.CoordStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats

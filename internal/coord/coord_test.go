@@ -18,6 +18,16 @@ import (
 	"cmcp/internal/workload"
 )
 
+// runFile runs a sweep journaled to the JSONL file at path through a
+// FileBackend that it closes afterwards, the lifecycle cmcpsim -journal
+// gives its backend.
+func runFile(cfgs []machine.Config, path string, o sweep.Options) (*sweep.Outcome, error) {
+	b := sweep.NewFileBackend(path)
+	defer b.Close()
+	o.Backend = b
+	return sweep.Run(cfgs, o)
+}
+
 // testCfg mirrors the sweep package's test grid: small, fast PSPT runs.
 func testCfg(seed uint64) machine.Config {
 	return machine.Config{
@@ -531,7 +541,7 @@ func TestCoordinatedSweepBitIdentical(t *testing.T) {
 	refJ := dir + "/ref.jsonl"
 	coordJ := dir + "/coord.jsonl"
 
-	ref, err := sweep.Run(cfgs, sweep.Options{Parallelism: 2, Journal: refJ})
+	ref, err := runFile(cfgs, refJ, sweep.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +569,7 @@ func TestCoordinatedSweepBitIdentical(t *testing.T) {
 		}(i)
 	}
 
-	out, err := sweep.Run(cfgs, sweep.Options{Journal: coordJ, Runner: c})
+	out, err := runFile(cfgs, coordJ, sweep.Options{Runner: c})
 	if err != nil {
 		t.Fatalf("coordinated sweep: %v", err)
 	}
@@ -588,7 +598,7 @@ func TestCoordinatedSweepBitIdentical(t *testing.T) {
 	assertFilesEqual(t, refJ+".c", coordJ+".c")
 
 	// The coordinated journal resumes a local sweep with zero work.
-	resumed, err := sweep.Run(cfgs, sweep.Options{Journal: coordJ})
+	resumed, err := runFile(cfgs, coordJ, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +652,7 @@ func TestPoisonedKeyQuarantine(t *testing.T) {
 		}(i)
 	}
 
-	out, err := sweep.Run(cfgs, sweep.Options{Journal: j, Runner: c})
+	out, err := runFile(cfgs, j, sweep.Options{Runner: c})
 	c.Finish()
 	wg.Wait()
 	if err == nil || !strings.Contains(err.Error(), "poisoned") {
@@ -663,7 +673,7 @@ func TestPoisonedKeyQuarantine(t *testing.T) {
 
 	// Every good key journaled: a local re-run of the good grid loads
 	// everything and executes nothing.
-	resumed, err := sweep.Run(good, sweep.Options{Journal: j})
+	resumed, err := runFile(good, j, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cmcp/internal/machine"
+	"cmcp/internal/obs"
 	"cmcp/internal/sim"
 	"cmcp/internal/sweep"
 )
@@ -127,6 +128,6 @@ type failRequest struct {
 
 // stateResponse is the GET /state debugging snapshot.
 type stateResponse struct {
-	Stats    Stats         `json:"stats"`
-	Poisoned []PoisonedKey `json:"poisoned,omitempty"`
+	Stats    obs.CoordStats `json:"stats"`
+	Poisoned []PoisonedKey  `json:"poisoned,omitempty"`
 }

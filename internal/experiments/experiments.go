@@ -17,7 +17,6 @@ import (
 
 	"cmcp/internal/fault"
 	"cmcp/internal/machine"
-	"cmcp/internal/obs"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/sweep"
@@ -25,8 +24,13 @@ import (
 	"cmcp/internal/workload"
 )
 
-// Options control an experiment run.
+// Options control an experiment run. The embedded sweep.Options
+// (journal backend, sharding, replication, progress, runner) pass
+// through unchanged to every experiment's sweep. A sharded invocation
+// fills other shards' grid points with inert placeholders, so a
+// sharded caller reads the journal, not the report.
 type Options struct {
+	sweep.Options
 	// Scale multiplies workload footprints and work (1.0 = the scaled
 	// B-class defaults; use <1 for quicker runs). Zero means 1.0.
 	Scale float64
@@ -35,49 +39,15 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism caps concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
-	// Repeats replicates every run with seeds Seed..Seed+Repeats-1 and
-	// averages the results, tightening the scaled-down runs' noise
-	// (0 or 1 = single run). The replication and averaging are the
-	// sweep runner's deterministic merge step (internal/sweep).
-	Repeats int
 	// Faults, when non-nil, attaches the deterministic fault injector
 	// to every generated run config, so whole experiment grids run
 	// under injected device faults (cmcpsim -exp -fault-rate). Safe to
 	// share across concurrent runs: each run builds its own injector.
 	Faults *fault.Config
-	// Journal checkpoints every completed run to a JSONL file and
-	// resumes from it on restart; see sweep.Options.Journal.
-	Journal string
-	// Imports are read-only extra journals (other shards' output).
-	Imports []string
-	// Shard/Shards partition the run grid by content key across
-	// independent processes; see sweep.Options. A sharded invocation
-	// fills the grid points of other shards with inert placeholders,
-	// so callers must treat its report as scaffolding and read only
-	// the journal (cmcpsim suppresses the report and says so).
-	Shard, Shards int
-	// Progress, when non-nil, observes sweep planning and completion
-	// (runs done/total, runs/s, ETA).
-	Progress *obs.Progress
 	// Hist attaches latency/fan-out histograms to every generated run
 	// config (machine.Config.Hist). Read-only instrumentation: counters
 	// and runtimes are bit-identical either way.
 	Hist bool
-	// OnResult, when non-nil, receives each executed completed run; see
-	// sweep.Options.OnResult (called concurrently from workers).
-	OnResult func(*machine.Result)
-	// Runner, when non-nil, replaces local in-process execution for
-	// every experiment sweep; see sweep.Options.Runner. The coordinator
-	// (internal/coord) implements it, so setting Runner turns an
-	// experiment into a coordinated sweep served to a worker fleet —
-	// with identical journals and bit-identical results.
-	Runner sweep.Runner
-	// ScheduleFrom optionally names a journal from a previous sweep
-	// whose recorded runtimes order pending runs longest-first; see
-	// sweep.Options.ScheduleFrom.
-	ScheduleFrom string
 	// Tenants, when non-nil, selects the multi-tenant serving workload
 	// for experiments that support it (TenantGrid). The paper-figure
 	// experiments model one HPC application per machine and reject a
@@ -252,18 +222,7 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 			cfgs[i].Hist = true
 		}
 	}
-	out, err := sweep.Run(cfgs, sweep.Options{
-		Journal:      o.Journal,
-		Imports:      o.Imports,
-		Shard:        o.Shard,
-		Shards:       o.Shards,
-		Parallelism:  o.Parallelism,
-		Repeats:      o.Repeats,
-		Progress:     o.Progress,
-		OnResult:     o.OnResult,
-		Runner:       o.Runner,
-		ScheduleFrom: o.ScheduleFrom,
-	})
+	out, err := sweep.Run(cfgs, o.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -273,23 +232,6 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 		}
 	}
 	return out.Results, nil
-}
-
-// All runs every experiment in paper order (the paper figures; the
-// extension experiments "numa" and "tenants" run only by ID).
-func All(o Options) ([]*Report, error) {
-	if err := o.rejectTenants("all"); err != nil {
-		return nil, err
-	}
-	var reports []*Report
-	for _, f := range []func(Options) (*Report, error){Fig6, Fig8, Fig7, Table1, Fig9, Fig10, Sensitivity} {
-		r, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-	}
-	return reports, nil
 }
 
 // ByID runs a single experiment by identifier.

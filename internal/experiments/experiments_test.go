@@ -244,7 +244,8 @@ func TestSensitivityQuick(t *testing.T) {
 }
 
 func TestRepeatsAveraging(t *testing.T) {
-	o := Options{Scale: 0.03, Quick: true, Seed: 1, Repeats: 3}
+	o := Options{Scale: 0.03, Quick: true, Seed: 1}
+	o.Repeats = 3
 	rep, err := Fig8(o)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"cmcp/internal/fault"
 	"cmcp/internal/obs"
+	"cmcp/internal/sweep"
 )
 
 // These tests pin the experiment harness's sweep-runner integration:
@@ -40,7 +41,9 @@ func TestExperimentJournalResume(t *testing.T) {
 	}
 
 	jo := quickOpts()
-	jo.Journal = filepath.Join(t.TempDir(), "fig8.jsonl")
+	backend := sweep.NewFileBackend(filepath.Join(t.TempDir(), "fig8.jsonl"))
+	defer backend.Close()
+	jo.Backend = backend
 	jo.Progress = obs.NewProgress()
 	first, err := Fig8(jo)
 	if err != nil {

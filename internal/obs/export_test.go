@@ -59,56 +59,54 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func TestJSONLGolden(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, fixtureEvents()); err != nil {
+	if err := WriteJSONLWithMeta(&b, fixtureEvents(), 0); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "events.jsonl.golden", b.Bytes())
+	header, events, ok := bytes.Cut(b.Bytes(), []byte("\n"))
+	if !ok {
+		t.Fatal("trace has no header line")
+	}
+	if want := `{"schema":"cmcp-trace/v1","events":10,"dropped":0}`; string(header) != want {
+		t.Errorf("header = %s, want %s", header, want)
+	}
+	checkGolden(t, "events.jsonl.golden", events)
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	events := fixtureEvents()
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, events); err != nil {
+	if err := WriteJSONLWithMeta(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&b)
-	if err != nil {
-		t.Fatal(err)
+	back, _, skipped, err := ReadJSONLMeta(&b)
+	if err != nil || skipped != 0 {
+		t.Fatalf("skipped=%d err=%v", skipped, err)
 	}
 	if !reflect.DeepEqual(events, back) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, events)
 	}
 }
 
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"t\":1,\"ev\":\"no_such_event\"}\n")); err == nil {
-		t.Error("unknown event type accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("malformed line accepted")
-	}
-	evs, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || len(evs) != 0 {
-		t.Errorf("blank lines should be skipped: %v %v", evs, err)
-	}
-}
-
 func TestReadJSONLLenient(t *testing.T) {
 	events := fixtureEvents()
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, events); err != nil {
+	if err := WriteJSONLWithMeta(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the stream the ways real trace files break: a stray log
 	// line in the middle, an unknown event type, and a truncated tail.
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	mixed := lines[0] + "\nGC pause 12ms\n" +
-		strings.Join(lines[1:], "\n") +
+	header, body := lines[0], lines[1:]
+	mixed := header + "\n" + body[0] + "\nGC pause 12ms\n" +
+		strings.Join(body[1:], "\n") +
 		"\n{\"t\":1,\"ev\":\"no_such_event\"}\n" +
-		lines[0][:len(lines[0])/2]
-	back, skipped, err := ReadJSONLLenient(strings.NewReader(mixed))
+		body[0][:len(body[0])/2]
+	back, meta, skipped, err := ReadJSONLMeta(strings.NewReader(mixed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if meta == nil {
+		t.Error("header lost")
 	}
 	if skipped != 3 {
 		t.Errorf("skipped = %d, want 3", skipped)
@@ -247,36 +245,22 @@ func TestJSONLMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(events, fixtureEvents()) {
 		t.Error("events did not round-trip past the header")
 	}
-
-	// The strict reader and the plain lenient reader must both accept a
-	// headered trace transparently.
-	strictEvents, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("strict reader rejects headered trace: %v", err)
-	}
-	if !reflect.DeepEqual(strictEvents, fixtureEvents()) {
-		t.Error("strict reader mangled headered trace")
-	}
-	lenEvents, skipped, err := ReadJSONLLenient(bytes.NewReader(buf.Bytes()))
-	if err != nil || skipped != 0 || !reflect.DeepEqual(lenEvents, fixtureEvents()) {
-		t.Errorf("lenient reader on headered trace: skipped=%d err=%v", skipped, err)
-	}
 }
 
 func TestJSONLMetaAbsent(t *testing.T) {
-	// Pre-header traces (WriteJSONL) must read back with nil meta.
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, fixtureEvents()); err != nil {
-		t.Fatal(err)
-	}
-	events, meta, skipped, err := ReadJSONLMeta(&buf)
+	// Pre-header traces must read back with nil meta. This one is
+	// written by hand in the pre-header format: event lines only.
+	const preHeader = `{"t":1000,"core":0,"ev":"fault","page":17,"arg":0}
+{"t":1500,"core":-1,"ev":"cmcp_promotion","page":17,"arg":2}
+`
+	events, meta, skipped, err := ReadJSONLMeta(strings.NewReader(preHeader))
 	if err != nil || skipped != 0 {
 		t.Fatalf("skipped=%d err=%v", skipped, err)
 	}
 	if meta != nil {
 		t.Errorf("phantom meta %+v from header-less trace", *meta)
 	}
-	if !reflect.DeepEqual(events, fixtureEvents()) {
+	if !reflect.DeepEqual(events, fixtureEvents()[:2]) {
 		t.Error("events did not round-trip")
 	}
 }

@@ -25,6 +25,20 @@ type Progress struct {
 	poisoned int
 }
 
+// CoordStats is a point-in-time snapshot of a sweep coordinator's
+// state: the gauges describe the current batch, the counters
+// accumulate across the coordinator's whole life. The coordinator
+// produces it and the telemetry server exports it as the cmcp_coord_*
+// metric families.
+type CoordStats struct {
+	// Gauges over the current batch.
+	KeysPending, KeysLeased uint64
+	// Cumulative across batches.
+	KeysDone, KeysPoisoned                     uint64
+	LeasesGranted, LeasesExpired, LeasesStolen uint64
+	Heartbeats, Retries, DuplicateResults      uint64
+}
+
 // NewProgress returns a meter whose clock starts at the first AddTotal.
 func NewProgress() *Progress { return &Progress{} }
 

@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
-
-	"cmcp/internal/stats"
 )
 
 // Compact deduplicates a journal's entries — keeping the LAST entry
@@ -82,7 +81,7 @@ func CompactJournal(path, out string) (CompactStats, error) {
 // encodeJournal renders a complete JSONL journal (header + entries).
 func encodeJournal(entries []Entry) ([]byte, error) {
 	var buf []byte
-	hdr, err := json.Marshal(header{Schema: Schema, Counters: stats.CounterNames(), Hists: stats.HistNames()})
+	hdr, err := headerLine()
 	if err != nil {
 		return nil, err
 	}
@@ -97,4 +96,44 @@ func encodeJournal(entries []Entry) ([]byte, error) {
 		buf = append(buf, '\n')
 	}
 	return buf, nil
+}
+
+// writeFileAtomic installs data at path via temp file + fsync + rename
+// + directory fsync: after it returns, the file is durable; if the
+// process dies first, the old state (or absence) survives untouched.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp := filepath.Join(dir, ".tmp-"+filepath.Base(path))
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	// fsync the directory so the rename itself survives a crash.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -21,7 +21,7 @@ func TestCompactJournalReplaysBitIdentical(t *testing.T) {
 	}
 
 	j := filepath.Join(t.TempDir(), "fat.jsonl")
-	if _, err := Run(cfgs, Options{Journal: j, Parallelism: 2}); err != nil {
+	if _, err := runFile(cfgs, j, Options{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,7 +50,7 @@ func TestCompactJournalReplaysBitIdentical(t *testing.T) {
 		t.Fatalf("CompactStats = %+v, want Kept=%d Dropped=%d Skipped=1", st, len(cfgs), len(cfgs))
 	}
 
-	out, err := Run(cfgs, Options{Journal: j})
+	out, err := runFile(cfgs, j, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCompactJournalReplaysBitIdentical(t *testing.T) {
 func TestCompactCanonical(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.jsonl")
-	if _, err := Run(grid(), Options{Journal: a, Parallelism: 2}); err != nil {
+	if _, err := runFile(grid(), a, Options{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -98,16 +98,15 @@ func (e Entry) Result(cfg machine.Config) *machine.Result {
 }
 
 // ReadJournalLenient reads a sweep journal, skipping malformed lines
-// and reporting how many were dropped — the same contract as the trace
-// layer's ReadTraceJSONLLenient, and for the same reason: the journal
-// of a crashed sweep legitimately ends in a torn, half-written line,
-// and that line must cost one re-run, not the whole file.
+// and reporting how many were dropped: the journal of a crashed sweep
+// legitimately ends in a torn, half-written line, and that line must
+// cost one re-run, not the whole file.
 //
 // The header is NOT lenient: an empty reader yields no entries, but a
 // journal whose first line is missing, malformed, or was written under
-// a different schema or counter set is rejected outright. Silently
-// merging counters recorded under a different table would misattribute
-// every column.
+// a different schema or counter set is rejected outright (see
+// validateHeader). Silently merging counters recorded under a
+// different table would misattribute every column.
 func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -117,26 +116,16 @@ func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 		}
 		return nil, 0, nil // empty journal: fresh sweep
 	}
-	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Schema != Schema {
-		if err == nil && staleSchemas[h.Schema] {
-			return nil, 0, fmt.Errorf("sweep: journal schema %q is outdated; this build writes %q (the content key and Run payload have since grown fields — tenants in v3, NUMA topology in v4 — so older entries can never satisfy current sweeps) — start a fresh journal", h.Schema, Schema)
-		}
-		return nil, 0, fmt.Errorf("sweep: journal header missing or not %q (corrupt first line, or not a sweep journal)", Schema)
-	}
-	if want := stats.CounterNames(); !equalStrings(h.Counters, want) {
-		return nil, 0, fmt.Errorf("sweep: journal counter set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Counters, want)
-	}
-	if want := stats.HistNames(); !equalStrings(h.Hists, want) {
-		return nil, 0, fmt.Errorf("sweep: journal histogram set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Hists, want)
+	if err := validateHeader(sc.Bytes()); err != nil {
+		return nil, 0, fmt.Errorf("sweep: %w", err)
 	}
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || e.Run == nil || e.Run.Cores != e.Cores {
+		e, ok := decodeEntry(line)
+		if !ok {
 			skipped++
 			continue
 		}
@@ -146,6 +135,42 @@ func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 		return nil, skipped, err
 	}
 	return entries, skipped, nil
+}
+
+// headerLine encodes this build's journal header.
+func headerLine() ([]byte, error) {
+	return json.Marshal(header{Schema: Schema, Counters: stats.CounterNames(), Hists: stats.HistNames()})
+}
+
+// validateHeader checks a journal's header line against this build:
+// same schema, same counter table, same histogram table.
+func validateHeader(data []byte) error {
+	var h header
+	if err := json.Unmarshal(bytes.TrimSpace(data), &h); err != nil || h.Schema != Schema {
+		if err == nil && staleSchemas[h.Schema] {
+			return fmt.Errorf("journal schema %q is outdated; this build writes %q (the content key and Run payload have since grown fields — tenants in v3, NUMA topology in v4 — so older entries can never satisfy current sweeps) — start a fresh journal", h.Schema, Schema)
+		}
+		return fmt.Errorf("journal header missing or not %q (corrupt first line, or not a sweep journal)", Schema)
+	}
+	if want := stats.CounterNames(); !equalStrings(h.Counters, want) {
+		return fmt.Errorf("journal counter set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Counters, want)
+	}
+	if want := stats.HistNames(); !equalStrings(h.Hists, want) {
+		return fmt.Errorf("journal histogram set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Hists, want)
+	}
+	return nil
+}
+
+// decodeEntry decodes one journaled entry line, reporting false for a
+// line that does not decode or does not describe a complete run (a
+// torn write, or a record whose per-core payload disagrees with its
+// core count). Every backend's reader shares this one validity rule.
+func decodeEntry(line []byte) (Entry, bool) {
+	var e Entry
+	if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || e.Run == nil || e.Run.Cores != e.Cores {
+		return Entry{}, false
+	}
+	return e, true
 }
 
 // readJournalFile loads one journal from disk; a missing file is an
@@ -191,7 +216,7 @@ func openJournal(path string) (*journalWriter, error) {
 	}
 	jw := &journalWriter{f: f, w: bufio.NewWriter(f)}
 	if st.Size() == 0 {
-		data, err := json.Marshal(header{Schema: Schema, Counters: stats.CounterNames(), Hists: stats.HistNames()})
+		data, err := headerLine()
 		if err != nil {
 			f.Close()
 			return nil, err

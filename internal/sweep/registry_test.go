@@ -64,14 +64,14 @@ func TestRegisteredFactorySweepResumes(t *testing.T) {
 	c.Policy = machine.PolicySpec{Factory: regTestFIFO2}
 
 	j := filepath.Join(t.TempDir(), "factory.jsonl")
-	first, err := Run([]machine.Config{c}, Options{Journal: j})
+	first, err := runFile([]machine.Config{c}, j, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1", first.Executed)
 	}
-	again, err := Run([]machine.Config{c}, Options{Journal: j})
+	again, err := runFile([]machine.Config{c}, j, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestOrderLongestFirst(t *testing.T) {
 func TestScheduleFromJournal(t *testing.T) {
 	cfgs := grid()
 	j := filepath.Join(t.TempDir(), "prior.jsonl")
-	ref, err := Run(cfgs, Options{Journal: j, Parallelism: 2})
+	ref, err := runFile(cfgs, j, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

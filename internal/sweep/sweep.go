@@ -37,12 +37,13 @@ import (
 
 // Options parameterize one sweep.
 type Options struct {
-	// Journal is the path of this process's append-mode JSONL journal:
-	// completed runs are appended (and flushed) as they finish, and
-	// journaled runs found at startup are reused instead of executed.
-	// Empty disables checkpointing. One journal belongs to one process
-	// at a time; shards each write their own.
-	Journal string
+	// Backend, when non-nil, is this sweep's journal store: completed
+	// runs Append to it as they finish, and journaled runs found at
+	// startup Load from it instead of executing. Nil disables
+	// checkpointing. One journal belongs to one process at a time;
+	// shards each write their own. The caller owns the Backend's
+	// lifecycle: Run never closes it.
+	Backend Backend
 	// Imports are additional journals to read for completed runs —
 	// typically the other shards' output during the final merge. They
 	// are never written.
@@ -69,12 +70,6 @@ type Options struct {
 	// must not retain or mutate the Result. The telemetry server's
 	// live-snapshot feed hangs off this hook.
 	OnResult func(*machine.Result)
-	// Backend, when non-nil, replaces Journal as this sweep's journal
-	// store: completed runs Append to it and resumable runs Load from
-	// it. Journal (if also set) then contributes read-only, like an
-	// import. The caller owns the Backend's lifecycle; Run never closes
-	// a Backend it did not open itself.
-	Backend Backend
 	// Runner, when non-nil, replaces the local in-process executor: the
 	// planned runs are handed to it instead of machine.RunManyNotify.
 	// The coordinator implements Runner to dispatch runs to leased
@@ -167,10 +162,8 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 	}
 
 	// Load every journal: this process's own (resume) plus imports
-	// (other shards). Later entries win within a file; across files the
-	// first hit wins — runs are deterministic, so duplicates agree.
-	// Options.Backend, when set, is the primary store; Options.Journal
-	// then demotes to a read-only import.
+	// (other shards). Later entries win; runs are deterministic, so
+	// duplicates agree.
 	journaled := make(map[string]Entry)
 	if opt.Backend != nil {
 		entries, skipped, err := opt.Backend.Load()
@@ -182,10 +175,7 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 			journaled[e.Key] = e
 		}
 	}
-	for _, path := range append([]string{opt.Journal}, opt.Imports...) {
-		if path == "" {
-			continue
-		}
+	for _, path := range opt.Imports {
 		entries, skipped, err := readJournalFile(path)
 		if err != nil {
 			return nil, err
@@ -236,14 +226,6 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 
 	// Execute, journaling each run the moment it completes: that
 	// durable Append is the checkpoint a killed sweep resumes from.
-	// An explicit Backend is caller-owned; a Backend opened here for
-	// Options.Journal is closed here.
-	backend := opt.Backend
-	ownedBackend := false
-	if backend == nil && opt.Journal != "" && len(runCfgs) > 0 {
-		backend = NewFileBackend(opt.Journal)
-		ownedBackend = true
-	}
 	var (
 		jwMu  sync.Mutex
 		jwErr error
@@ -262,10 +244,10 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 		if opt.OnResult != nil {
 			opt.OnResult(res)
 		}
-		if backend == nil {
+		if opt.Backend == nil {
 			return
 		}
-		if aerr := backend.Append(EntryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
+		if aerr := opt.Backend.Append(EntryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
 			jwMu.Lock()
 			if jwErr == nil {
 				jwErr = aerr
@@ -273,11 +255,6 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 			jwMu.Unlock()
 		}
 	})
-	if ownedBackend {
-		if cerr := backend.Close(); cerr != nil && jwErr == nil {
-			jwErr = cerr
-		}
-	}
 	if jwErr != nil {
 		return nil, fmt.Errorf("sweep: journaling: %w", jwErr)
 	}

@@ -44,6 +44,16 @@ func grid() []machine.Config {
 	return cfgs
 }
 
+// runFile runs a sweep journaled to the JSONL file at path through a
+// FileBackend that it closes afterwards, the lifecycle cmcpsim -journal
+// gives its backend.
+func runFile(cfgs []machine.Config, path string, o Options) (*Outcome, error) {
+	b := NewFileBackend(path)
+	defer b.Close()
+	o.Backend = b
+	return Run(cfgs, o)
+}
+
 func TestKeyDeterministicAndSensitive(t *testing.T) {
 	base := testCfg(1)
 	k1, err := Key(base)
@@ -161,8 +171,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	// tear the journal the way a kill mid-write would.
 	j := filepath.Join(t.TempDir(), "sweep.jsonl")
 	o := opts()
-	o.Journal = j
-	if _, err := Run(cfgs[:1], o); err != nil {
+	if _, err := runFile(cfgs[:1], j, o); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(j, os.O_APPEND|os.O_WRONLY, 0)
@@ -182,7 +191,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	// there are 3 unique runs covering 4 slots. cfgs[0]'s journal holds
 	// FIFO seeds {1,2}, which satisfies 3 of the FIFO slots; the other
 	// 4 unique runs (FIFO@3, CMCP@{1,2,3}) execute.
-	out, err := Run(cfgs, o)
+	out, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +212,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 
 	// A third run satisfies every slot from the journal.
-	again, err := Run(cfgs, o)
+	again, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +235,11 @@ func TestShardsSplitAndMerge(t *testing.T) {
 	dir := t.TempDir()
 	j0 := filepath.Join(dir, "shard0.jsonl")
 	j1 := filepath.Join(dir, "shard1.jsonl")
-	out0, err := Run(cfgs, Options{Journal: j0, Shard: 0, Shards: 2})
+	out0, err := runFile(cfgs, j0, Options{Shard: 0, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out1, err := Run(cfgs, Options{Journal: j1, Shard: 1, Shards: 2})
+	out1, err := runFile(cfgs, j1, Options{Shard: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +302,7 @@ func TestJournalRejectsForeignHeader(t *testing.T) {
 		if err := os.WriteFile(path, []byte(contents), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		o := Options{Journal: path}
-		if _, err := Run([]machine.Config{testCfg(1)}, o); err == nil {
+		if _, err := runFile([]machine.Config{testCfg(1)}, path, Options{}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -345,11 +353,10 @@ func TestHistResumeBitIdentical(t *testing.T) {
 	// Interrupt after one grid point, then resume over the full grid.
 	j := filepath.Join(t.TempDir(), "hist.jsonl")
 	o := opts()
-	o.Journal = j
-	if _, err := Run(cfgs[:1], o); err != nil {
+	if _, err := runFile(cfgs[:1], j, o); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(cfgs, o)
+	out, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +365,7 @@ func TestHistResumeBitIdentical(t *testing.T) {
 	}
 
 	// Journal-only pass: everything loads, nothing executes, still equal.
-	again, err := Run(cfgs, o)
+	again, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +421,6 @@ func TestOnResultHook(t *testing.T) {
 	var mu sync.Mutex
 	var got int
 	o := Options{
-		Journal: j,
 		OnResult: func(res *machine.Result) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -424,7 +430,7 @@ func TestOnResultHook(t *testing.T) {
 			got++
 		},
 	}
-	out, err := Run(cfgs, o)
+	out, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +439,7 @@ func TestOnResultHook(t *testing.T) {
 	}
 	// Resume from the journal: nothing executes, the hook stays silent.
 	got = 0
-	again, err := Run(cfgs, o)
+	again, err := runFile(cfgs, j, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,9 @@ func TestKeyTenantSensitive(t *testing.T) {
 func TestTenantRepeatsPoolAndResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "tenants.jsonl")
 	cfgs := []machine.Config{tenantCfg(1)}
-	opts := Options{Parallelism: 2, Repeats: 2, Journal: journal}
+	opts := Options{Parallelism: 2, Repeats: 2}
 
-	out, err := Run(cfgs, opts)
+	out, err := runFile(cfgs, journal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTenantRepeatsPoolAndResume(t *testing.T) {
 
 	// Resume: every replicate is journaled, so the re-run executes zero
 	// simulations and must merge to the identical record.
-	resumed, err := Run(cfgs, opts)
+	resumed, err := runFile(cfgs, journal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

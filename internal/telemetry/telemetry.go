@@ -67,44 +67,31 @@ type Snapshot struct {
 	// this snapshot was rendered; all zeros when no coordinator is
 	// attached (the families are still exposed, so dashboards need no
 	// conditional scrape config).
-	Coord CoordStats
-}
-
-// CoordStats mirrors the sweep coordinator's gauges and counters for
-// the cmcp_coord_* metric families. It is a plain value type so the
-// telemetry package needs no dependency on the coordinator; cmcpsim
-// converts coord.Stats into it.
-type CoordStats struct {
-	// Gauges over the current batch.
-	KeysPending, KeysLeased uint64
-	// Cumulative counters.
-	KeysDone, KeysPoisoned                     uint64
-	LeasesGranted, LeasesExpired, LeasesStolen uint64
-	Heartbeats, Retries, DuplicateResults      uint64
+	Coord obs.CoordStats
 }
 
 // coordFamily describes one cmcp_coord_* family: its name suffix,
 // exposition TYPE, help text, and how to read its value from a
-// CoordStats.
+// obs.CoordStats.
 type coordFamily struct {
 	suffix string
 	typ    string
 	help   string
-	value  func(CoordStats) uint64
+	value  func(obs.CoordStats) uint64
 }
 
 // coordFamilies is the cmcp_coord_* registry, in emission order.
 var coordFamilies = []coordFamily{
-	{"coord_keys_pending", "gauge", "Sweep keys waiting for a lease in the current batch.", func(c CoordStats) uint64 { return c.KeysPending }},
-	{"coord_keys_leased", "gauge", "Sweep keys currently leased to workers.", func(c CoordStats) uint64 { return c.KeysLeased }},
-	{"coord_keys_done_total", "counter", "Sweep keys completed by workers.", func(c CoordStats) uint64 { return c.KeysDone }},
-	{"coord_keys_poisoned_total", "counter", "Sweep keys quarantined after exhausting their retry budget.", func(c CoordStats) uint64 { return c.KeysPoisoned }},
-	{"coord_leases_granted_total", "counter", "Leases handed to workers (including stolen backups).", func(c CoordStats) uint64 { return c.LeasesGranted }},
-	{"coord_leases_expired_total", "counter", "Leases reclaimed after their worker stopped heartbeating.", func(c CoordStats) uint64 { return c.LeasesExpired }},
-	{"coord_leases_stolen_total", "counter", "Speculative backup leases granted on stragglers.", func(c CoordStats) uint64 { return c.LeasesStolen }},
-	{"coord_heartbeats_total", "counter", "Heartbeats accepted from workers.", func(c CoordStats) uint64 { return c.Heartbeats }},
-	{"coord_retries_total", "counter", "Failed attempts requeued with backoff.", func(c CoordStats) uint64 { return c.Retries }},
-	{"coord_results_duplicate_total", "counter", "Duplicate results discarded idempotently (expired leases finishing, stolen-lease losers).", func(c CoordStats) uint64 { return c.DuplicateResults }},
+	{"coord_keys_pending", "gauge", "Sweep keys waiting for a lease in the current batch.", func(c obs.CoordStats) uint64 { return c.KeysPending }},
+	{"coord_keys_leased", "gauge", "Sweep keys currently leased to workers.", func(c obs.CoordStats) uint64 { return c.KeysLeased }},
+	{"coord_keys_done_total", "counter", "Sweep keys completed by workers.", func(c obs.CoordStats) uint64 { return c.KeysDone }},
+	{"coord_keys_poisoned_total", "counter", "Sweep keys quarantined after exhausting their retry budget.", func(c obs.CoordStats) uint64 { return c.KeysPoisoned }},
+	{"coord_leases_granted_total", "counter", "Leases handed to workers (including stolen backups).", func(c obs.CoordStats) uint64 { return c.LeasesGranted }},
+	{"coord_leases_expired_total", "counter", "Leases reclaimed after their worker stopped heartbeating.", func(c obs.CoordStats) uint64 { return c.LeasesExpired }},
+	{"coord_leases_stolen_total", "counter", "Speculative backup leases granted on stragglers.", func(c obs.CoordStats) uint64 { return c.LeasesStolen }},
+	{"coord_heartbeats_total", "counter", "Heartbeats accepted from workers.", func(c obs.CoordStats) uint64 { return c.Heartbeats }},
+	{"coord_retries_total", "counter", "Failed attempts requeued with backoff.", func(c obs.CoordStats) uint64 { return c.Retries }},
+	{"coord_results_duplicate_total", "counter", "Duplicate results discarded idempotently (expired leases finishing, stolen-lease losers).", func(c obs.CoordStats) uint64 { return c.DuplicateResults }},
 }
 
 // Server accumulates published runs and serves them over HTTP. The
@@ -118,7 +105,7 @@ type Server struct {
 	started  time.Time
 
 	coordMu sync.Mutex
-	coordFn func() CoordStats // nil when no coordinator is attached
+	coordFn func() obs.CoordStats // nil when no coordinator is attached
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -157,22 +144,22 @@ func (s *Server) Publish(run *stats.Run) {
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // SetCoordSource attaches a live reader for the cmcp_coord_* families
-// — typically the coordinator's Stats method, adapted. The source is
+// — typically the coordinator's Stats method. The source is
 // polled at scrape time, never stored into snapshots, so attaching a
 // coordinator cannot perturb the published-run state.
-func (s *Server) SetCoordSource(fn func() CoordStats) {
+func (s *Server) SetCoordSource(fn func() obs.CoordStats) {
 	s.coordMu.Lock()
 	s.coordFn = fn
 	s.coordMu.Unlock()
 }
 
 // coordStats reads the attached source (zeros when none).
-func (s *Server) coordStats() CoordStats {
+func (s *Server) coordStats() obs.CoordStats {
 	s.coordMu.Lock()
 	fn := s.coordFn
 	s.coordMu.Unlock()
 	if fn == nil {
-		return CoordStats{}
+		return obs.CoordStats{}
 	}
 	return fn()
 }

@@ -276,9 +276,9 @@ func TestCoordMetricsFromSource(t *testing.T) {
 		t.Errorf("sourceless exposition fails schema check: %v", err)
 	}
 
-	var cs CoordStats
-	s.SetCoordSource(func() CoordStats { return cs })
-	cs = CoordStats{KeysPending: 3, KeysLeased: 2, LeasesGranted: 7, Retries: 1}
+	var cs obs.CoordStats
+	s.SetCoordSource(func() obs.CoordStats { return cs })
+	cs = obs.CoordStats{KeysPending: 3, KeysLeased: 2, LeasesGranted: 7, Retries: 1}
 	body = get()
 	for _, want := range []string{
 		"cmcp_coord_keys_pending 3",
