@@ -375,16 +375,14 @@ func (a *Auditor) auditReplicas(m *vm.Manager) {
 		if h := int(mp.Home); h < 0 || h >= topo.Sockets {
 			a.report("numa", "page %d: home socket %d outside topology %s", mp.Base, h, topo)
 		}
-		var cores []sim.CoreID
-		cores = mp.Cores.Cores(cores)
-		for _, c := range cores {
+		for c, ok := mp.Cores.First(); ok; c, ok = mp.Cores.Next(c + 1) {
 			if s := topo.SocketOf(c); !mp.Replicas.Has(s) {
 				a.report("numa", "page %d: core %d (socket %d) holds a PTE but replica set %b misses its socket",
 					mp.Base, c, s, mp.Replicas)
 			}
 		}
-		if len(cores) > 0 && mp.Replicas.Count() == 0 {
-			a.report("numa", "page %d: %d cores map it but the replica set is empty", mp.Base, len(cores))
+		if n := mp.Cores.Count(); n > 0 && mp.Replicas.Count() == 0 {
+			a.report("numa", "page %d: %d cores map it but the replica set is empty", mp.Base, n)
 		}
 	})
 }

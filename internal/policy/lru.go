@@ -26,7 +26,9 @@ type LRU struct {
 	scanBatch  int
 	nextScan   sim.Cycles
 
-	scratch []sim.PageID
+	// Batch buffers kept across ticks, so a scan allocates nothing
+	// once they have grown to the batch size.
+	inactiveBuf, activeBuf []sim.PageID
 }
 
 // LRUOption customizes an LRU instance.
@@ -117,8 +119,8 @@ func (l *LRU) Tick(now sim.Cycles) {
 	// Capture both batches before moving anything, so a page promoted
 	// in the inactive pass is not immediately re-examined (and demoted)
 	// in the active pass of the same tick.
-	inactiveBatch := capture(l.inactive, l.scanBatch, l.scratch[:0])
-	activeBatch := capture(l.active, l.scanBatch, nil)
+	inactiveBatch := capture(l.inactive, l.scanBatch, l.inactiveBuf[:0])
+	activeBatch := capture(l.active, l.scanBatch, l.activeBuf[:0])
 	for _, base := range inactiveBatch {
 		if !l.inactive.Has(base) {
 			continue
@@ -153,7 +155,7 @@ func (l *LRU) Tick(now sim.Cycles) {
 		}
 		l.inactive.PushTail(base)
 	}
-	l.scratch = inactiveBatch[:0]
+	l.inactiveBuf, l.activeBuf = inactiveBatch[:0], activeBatch[:0]
 }
 
 // capture copies up to limit bases from the head of list into dst.

@@ -40,6 +40,27 @@ func (s CoreSet) Has(c sim.CoreID) bool { return s[c>>6]&(1<<(uint(c)&63)) != 0 
 // Count returns the number of cores in the set — the core-map count.
 func (s CoreSet) Count() int { return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) }
 
+// First returns the lowest member core ID; ok is false for an empty set.
+func (s CoreSet) First() (sim.CoreID, bool) { return s.Next(0) }
+
+// Next returns the lowest member core ID at or above from; ok is false
+// when there is none. Together with First it walks a set in ascending
+// order without materializing it:
+//
+//	for c, ok := s.First(); ok; c, ok = s.Next(c + 1) { ... }
+func (s CoreSet) Next(from sim.CoreID) (sim.CoreID, bool) {
+	for w := int(from >> 6); w < len(s); w++ {
+		v := s[w]
+		if w == int(from>>6) {
+			v &^= 1<<(uint(from)&63) - 1 // drop members below from
+		}
+		if v != 0 {
+			return sim.CoreID(w<<6 + bits.TrailingZeros64(v)), true
+		}
+	}
+	return 0, false
+}
+
 // Cores returns the member core IDs in ascending order, appended to dst.
 func (s CoreSet) Cores(dst []sim.CoreID) []sim.CoreID {
 	for w := 0; w < 2; w++ {
@@ -166,15 +187,6 @@ func (p *PSPT) CoreMapCount(vpn sim.PageID) int {
 		return m.Cores.Count()
 	}
 	return 0
-}
-
-// MappingCores appends the IDs of cores mapping vpn to dst. This is the
-// precise shootdown target set PSPT makes available.
-func (p *PSPT) MappingCores(vpn sim.PageID, dst []sim.CoreID) []sim.CoreID {
-	if m := p.Mapping(vpn); m != nil {
-		return m.Cores.Cores(dst)
-	}
-	return dst
 }
 
 // setInTable installs the PTEs for one mapping into a single core's
@@ -321,9 +333,7 @@ func (p *PSPT) Unmap(vpn sim.PageID) (*Mapping, bool) {
 		return nil, false
 	}
 	dirty := false
-	var cores []sim.CoreID
-	cores = m.Cores.Cores(cores)
-	for _, c := range cores {
+	for c, ok := m.Cores.First(); ok; c, ok = m.Cores.Next(c + 1) {
 		old := p.clearInTable(c, m.Base, m.Size)
 		if old.Has(pagetable.Dirty) {
 			dirty = true
@@ -379,19 +389,30 @@ func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
 // invalidated (every core whose PTE was modified — on x86, clearing an
 // accessed bit requires invalidating the cached translation).
 func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, targets []sim.CoreID) {
+	accessed, _, targets = p.ScanAccessedSized(vpn, dst)
+	return accessed, targets
+}
+
+// ScanAccessedSized is ScanAccessed that also reports the page size of
+// the scanned mapping as its lowest mapping core's table holds it. The
+// size is 0 when vpn is not resident, when no core maps it, and when
+// the lowest core bit is a phantom with no PTE behind it (injected
+// skew, see InjectPhantomCoreBit). The scan resolves the mapping once;
+// only a 64 kB group pays one extra walk to confirm the lowest core's
+// group, since its scan of 16 sub-entries reports no presence.
+func (p *PSPT) ScanAccessedSized(vpn sim.PageID, dst []sim.CoreID) (accessed bool, size sim.PageSize, targets []sim.CoreID) {
 	m := p.Mapping(vpn)
 	if m == nil {
-		return false, dst
+		return false, 0, dst
 	}
 	targets = dst
-	var cores []sim.CoreID
-	cores = m.Cores.Cores(cores)
-	for _, c := range cores {
+	lowest, ok := m.Cores.First()
+	for c := lowest; ok; c, ok = m.Cores.Next(c + 1) {
 		t := p.tables[c]
-		hit := false
+		hit, present := false, false
 		switch m.Size {
 		case sim.Size2M:
-			t.Update2M(m.Base, func(e pagetable.PTE) pagetable.PTE {
+			present = t.Update2M(m.Base, func(e pagetable.PTE) pagetable.PTE {
 				if e.Has(pagetable.Accessed) {
 					hit = true
 					return e.Without(pagetable.Accessed)
@@ -399,10 +420,13 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 				return e
 			})
 		case sim.Size64k:
-			a, _ := t.Stat64k(m.Base, true)
-			hit = a
+			if c == lowest {
+				_, sz, ok := t.Lookup(vpn)
+				present = ok && sz == sim.Size64k
+			}
+			hit, _ = t.Stat64k(m.Base, true)
 		default:
-			t.Update(m.Base, func(e pagetable.PTE) pagetable.PTE {
+			present = t.Update(m.Base, func(e pagetable.PTE) pagetable.PTE {
 				if e.Has(pagetable.Accessed) {
 					hit = true
 					return e.Without(pagetable.Accessed)
@@ -410,16 +434,17 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 				return e
 			})
 		}
-		if hit {
-			accessed = true
+		if c == lowest && present {
+			size = m.Size
 		}
 		// Clearing (or even scanning-with-clear finding nothing set)
 		// only requires invalidation when a bit actually changed.
 		if hit {
+			accessed = true
 			targets = append(targets, c)
 		}
 	}
-	return accessed, targets
+	return accessed, size, targets
 }
 
 // InjectPhantomCoreBit simulates lost teardown bookkeeping on the
@@ -466,8 +491,7 @@ func (p *PSPT) ResyncCores(vpn sim.PageID) bool {
 		// Replicas must stay a superset of the mapping cores' sockets;
 		// recompute the minimal set from the rebuilt population.
 		var rs SocketSet
-		var cores []sim.CoreID
-		for _, c := range rebuilt.Cores(cores) {
+		for c, ok := rebuilt.First(); ok; c, ok = rebuilt.Next(c + 1) {
 			rs.Add(p.topo.SocketOf(c))
 		}
 		m.Replicas = rs

@@ -33,6 +33,24 @@ func TestCoreSet(t *testing.T) {
 			t.Errorf("Cores = %v, want %v", got, want)
 		}
 	}
+	var walked []sim.CoreID
+	for c, ok := s.First(); ok; c, ok = s.Next(c + 1) {
+		walked = append(walked, c)
+	}
+	if len(walked) != len(want) {
+		t.Fatalf("First/Next walk = %v, want %v", walked, want)
+	}
+	for i := range want {
+		if walked[i] != want[i] {
+			t.Errorf("First/Next walk = %v, want %v", walked, want)
+		}
+	}
+	if c, ok := s.Next(65); !ok || c != 127 {
+		t.Errorf("Next(65) = %d, %v; want 127", c, ok)
+	}
+	if _, ok := (CoreSet{}).First(); ok {
+		t.Error("First of an empty set must report !ok")
+	}
 	s.Remove(64)
 	if s.Has(64) || s.Count() != 3 {
 		t.Error("Remove failed")
@@ -116,9 +134,8 @@ func TestMapAndCoreMapCount(t *testing.T) {
 	if _, _, ok := p.Lookup(1, 100); ok {
 		t.Error("core 1 must NOT resolve — that is the point of PSPT")
 	}
-	cores := p.MappingCores(100, nil)
-	if len(cores) != 2 || cores[0] != 0 || cores[1] != 2 {
-		t.Errorf("MappingCores = %v", cores)
+	if cores := p.Mapping(100).Cores.Cores(nil); len(cores) != 2 || cores[0] != 0 || cores[1] != 2 {
+		t.Errorf("Mapping(100).Cores = %v", cores)
 	}
 }
 

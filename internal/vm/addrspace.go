@@ -66,9 +66,11 @@ type addressSpace interface {
 	CoreMapCount(base sim.PageID) int
 
 	// ScanAccessed tests and clears accessed bits for the mapping at
-	// base, returning whether it was accessed and the cores whose TLBs
+	// base, returning whether it was accessed, the size of the mapping
+	// the scan read (0 when it read no PTE: not resident, or, under
+	// PSPT, no PTE behind the lowest core bit) and the cores whose TLBs
 	// must be invalidated because a bit changed.
-	ScanAccessed(base sim.PageID) (accessed bool, targets []sim.CoreID)
+	ScanAccessed(base sim.PageID) (accessed bool, size sim.PageSize, targets []sim.CoreID)
 
 	// LockFor returns the virtual-time lock protecting updates to the
 	// mapping at base: a single address-space lock for regular tables,
@@ -209,10 +211,10 @@ func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) {
 
 func (s *sharedAS) CoreMapCount(sim.PageID) int { return -1 }
 
-func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
+func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, sim.PageSize, []sim.CoreID) {
 	b, mi, ok := s.find(base)
 	if !ok {
-		return false, nil
+		return false, 0, nil
 	}
 	accessed := false
 	switch mi.size {
@@ -236,9 +238,9 @@ func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
 		})
 	}
 	if !accessed {
-		return false, nil
+		return false, mi.size, nil
 	}
-	return true, s.targets // cleared a bit: broadcast invalidation
+	return true, mi.size, s.targets // cleared a bit: broadcast invalidation
 }
 
 func (s *sharedAS) LockFor(sim.PageID) *sim.Resource { return &s.lock }
@@ -298,10 +300,10 @@ func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
 
 func (a *psptAS) CoreMapCount(base sim.PageID) int { return a.p.CoreMapCount(base) }
 
-func (a *psptAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
-	accessed, targets := a.p.ScanAccessed(base, a.scratch[:0])
+func (a *psptAS) ScanAccessed(base sim.PageID) (bool, sim.PageSize, []sim.CoreID) {
+	accessed, size, targets := a.p.ScanAccessedSized(base, a.scratch[:0])
 	a.scratch = targets
-	return accessed, targets
+	return accessed, size, targets
 }
 
 func (a *psptAS) LockFor(base sim.PageID) *sim.Resource {

@@ -414,14 +414,17 @@ func (m *Manager) CoreMapCount(base sim.PageID) int {
 // (CLOCK's second-chance sweep). The dominant costs — the target-side
 // interrupts — are charged to the right cores either way, matching the
 // paper's setup of dedicating hyperthreads to statistics collection.
+//
+// The scan resolves the mapping once. Scanning a 64 kB group iterates
+// its 16 sub-entries (§4), so it is charged 16 PTEs; everything else,
+// including a mapping the scan read no PTE of, is charged one.
 func (m *Manager) ScanAccessed(base sim.PageID) bool {
-	// Scanning a 64 kB group iterates its 16 sub-entries (§4).
+	accessed, size, targets := m.as.ScanAccessed(base)
 	ptes := sim.Cycles(1)
-	if _, size, ok := m.lookupAny(base); ok && size == sim.Size64k {
+	if size == sim.Size64k {
 		ptes = sim.Span64k
 	}
 	m.scanCost += ptes * m.cost.ScanPTE
-	accessed, targets := m.as.ScanAccessed(base)
 	if accessed && m.degraded != nil {
 		if _, deg := m.degraded[base]; deg {
 			// Degraded page: sharer set untrusted, broadcast like the
@@ -451,22 +454,6 @@ func (m *Manager) ScanAccessed(base sim.PageID) bool {
 		}
 	}
 	return accessed
-}
-
-// lookupAny resolves vpn through any core's view (bookkeeping only).
-func (m *Manager) lookupAny(vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	if a, ok := m.as.(*psptAS); ok {
-		mp := a.PSPT().Mapping(vpn)
-		if mp == nil {
-			return 0, 0, false
-		}
-		cores := mp.Cores.Cores(nil)
-		if len(cores) == 0 {
-			return 0, 0, false
-		}
-		return m.as.Lookup(cores[0], vpn)
-	}
-	return m.as.Lookup(0, vpn)
 }
 
 // hotPage is one core's same-page translation memo: the page its last
